@@ -3,8 +3,8 @@
 - :mod:`repro.bench.workloads` — a seeded mini-C program generator plus the
   15-program ``SUITE`` standing in for the paper's open-source benchmarks
   (Table II), scaled to pure-Python solver speed.
-- :mod:`repro.bench.metrics` — measurement helpers (wall time, tracemalloc
-  peaks, solver counters).
+- :mod:`repro.bench.metrics` — measurement helpers (wall time, traced
+  memory peaks, solver counters).
 - :mod:`repro.bench.tables` — text rendering of Tables II/III and geometric
   means.
 - :mod:`repro.bench.runner` — end-to-end experiment driver used by the

@@ -144,7 +144,10 @@ class SuiteResult:
         default_factory=dict, repr=False)
     #: Per-stage wall/steps trace from the pipeline's engine (substrate
     #: stages carry ``main_phase: false`` — excluded from the timed main
-    #: phase, matching Table III's protocol).
+    #: phase, matching Table III's protocol).  Records made by a measured
+    #: run carry ``pass``: ``"time"`` (untraced) or ``"memory"``
+    #: (allocation-traced); records made outside both passes (the shared
+    #: substrate, the ``--jobs`` comparisons) carry none.
     stages: Optional[List[Dict[str, object]]] = field(default=None, repr=False)
 
 
@@ -208,13 +211,28 @@ def run_suite_program(name: str, check_equivalence: bool = True,
         vsfs_solver_holder["result"] = governed("vsfs")
         return vsfs_solver_holder["result"]
 
+    # measure_analysis times one run untraced and traces another; label
+    # the stage records each run leaves so the (several-fold slower)
+    # traced solves are never read as timings.
+    passes: Dict[int, str] = {}
+
+    def in_pass(name: str, thunk):
+        def run():
+            first = len(pipeline.trace.records)
+            try:
+                return thunk()
+            finally:
+                for index in range(first, len(pipeline.trace.records)):
+                    passes[index] = name
+        return run
+
     sfs_measure = measure_analysis(
-        "sfs", run_sfs_time,
-        memory_thunk=lambda: governed("sfs"),
+        "sfs", in_pass("time", run_sfs_time),
+        memory_thunk=in_pass("memory", lambda: governed("sfs")),
     )
     vsfs_measure = measure_analysis(
-        "vsfs", run_vsfs_time,
-        memory_thunk=lambda: governed("vsfs"),
+        "vsfs", in_pass("time", run_vsfs_time),
+        memory_thunk=in_pass("memory", lambda: governed("vsfs")),
     )
 
     result = SuiteResult(
@@ -259,6 +277,8 @@ def run_suite_program(name: str, check_equivalence: bool = True,
         result.parallel_runs[label] = runs
 
     result.stages = pipeline.trace.to_dict()
+    for index, name in passes.items():
+        result.stages[index]["pass"] = name
     return result
 
 

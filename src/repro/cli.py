@@ -9,10 +9,14 @@ Mirrors SVF's ``wpa`` tool from the paper's artifact::
     repro-wpa -vfspta --stats --dump-pts program.c
     repro-wpa -vfspta --budget-seconds 5 --report program.c
 
-Prints timing/memory statistics and, with ``--dump-pts``, the points-to set
-of every top-level variable.  Budget flags govern the run: on exhaustion the
-analysis degrades down the ladder (``vsfs → sfs → andersen``) unless
-``--no-fallback`` is given.
+Prints timing statistics, the process's peak resident set size (the OS
+high-water mark, ``ru_maxrss``) and, with ``--dump-pts``, the points-to set
+of every top-level variable.  Memory is read from the OS rather than
+traced: Python allocation tracing slows an answer several-fold, so only
+``--budget-mb`` turns it on (the budget governs the traced peak), and the
+bench runner measures traced peaks in a separate pass.  Budget flags
+govern the run: on exhaustion the analysis degrades down the ladder
+(``vsfs → sfs → andersen``) unless ``--no-fallback`` is given.
 
 Crash safety: ``--checkpoint-dir`` snapshots the in-flight solver on a
 cadence (``--checkpoint-every`` pops and/or ``--checkpoint-seconds``) and
@@ -46,8 +50,8 @@ table lives in README.md §Exit codes.
 from __future__ import annotations
 
 import argparse
+import resource
 import sys
-import tracemalloc
 from typing import List, Optional
 
 from repro.errors import (
@@ -110,7 +114,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--budget-seconds", type=float, metavar="S",
                         help="wall-clock budget for the solve phase")
     parser.add_argument("--budget-mb", type=float, metavar="MB",
-                        help="traced-memory budget for the solve phase")
+                        help="traced-memory budget for the solve phase; "
+                             "turns on Python's allocation tracer, which "
+                             "slows the governed run several-fold")
     parser.add_argument("--max-steps", type=int, metavar="N",
                         help="solver step (worklist pop) budget")
     parser.add_argument("--no-fallback", action="store_true",
@@ -363,7 +369,6 @@ def _run(args: argparse.Namespace, source: str) -> int:
         resume_meta, resume_state = _load_resume_state(
             module, args.analysis, args.resume, checkpoint, delta, ptrepo)
 
-    tracemalloc.start()
     result = solve_with_ladder(
         pipeline,
         analysis=ladder_analysis,
@@ -428,9 +433,7 @@ def _run(args: argparse.Namespace, source: str) -> int:
                   f"({type(err).__name__}: {err}); continuing",
                   file=sys.stderr)
     _print_result(args, result, run_report)
-    __, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    print(f"peak analysis memory: {peak / 1024:.1f} KiB")
+    print(f"peak memory (RSS): {_peak_rss_kib()} KiB")
 
     if args.report:
         print(run_report.render())
@@ -440,6 +443,13 @@ def _run(args: argparse.Namespace, source: str) -> int:
         _write_report_json(args.report_json, run_report,
                            trace=pipeline.trace)
     return _client_flags(args, module, pipeline, result)
+
+
+def _peak_rss_kib() -> int:
+    """This process's peak resident set size so far, in KiB."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # Linux reports KiB, macOS bytes.
+    return peak // 1024 if sys.platform == "darwin" else peak
 
 
 def _print_result(args: argparse.Namespace, result, run_report) -> None:

@@ -713,6 +713,14 @@ class ObjectVersioning:
             self.yielded_masks = yielded_masks
 
 
-def version_objects(svfg: SVFG, strategy: str = "scc") -> ObjectVersioning:
-    """Run the versioning pre-analysis (prelabel → meld → intern)."""
+def version_objects(svfg: SVFG, strategy: str = "scc",
+                    snapshot: Optional[dict] = None) -> ObjectVersioning:
+    """Run the versioning pre-analysis (prelabel → meld → intern).
+
+    With *snapshot* — :meth:`ObjectVersioning.snapshot` of a meld over a
+    graph of the same shape, e.g. the SVFG this one was copied from — the
+    labelling is restored instead of melded again.
+    """
+    if snapshot is not None:
+        return ObjectVersioning(svfg).restore(snapshot)
     return ObjectVersioning(svfg).run(strategy=strategy)

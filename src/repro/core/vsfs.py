@@ -46,12 +46,17 @@ class VSFSAnalysis(StagedSolverBase):
     def __init__(self, svfg: SVFG, versioning: Optional[ObjectVersioning] = None,
                  delta: bool = True, ptrepo: bool = True, meter=None,
                  faults=None, checkpointer=None, ctx=None,
-                 mde=None, mde_batch=None):
+                 mde=None, mde_batch=None,
+                 versioning_snapshot: Optional[dict] = None):
         super().__init__(svfg, delta=delta, ptrepo=ptrepo, meter=meter,
                          faults=faults, checkpointer=checkpointer, ctx=ctx,
                          mde=mde, mde_batch=mde_batch)
         self._given_versioning = versioning
         self.versioning: Optional[ObjectVersioning] = versioning
+        # A meld of the graph *svfg* was copied from, restored in place of
+        # a second meld.  _prepare restores it where a meld would run:
+        # after the pre_meld fault point and inside pre_time.
+        self._versioning_snapshot = versioning_snapshot
         # Global points-to table: oid -> version id -> entry (a PTRepo id
         # when ptrepo is on, a raw mask otherwise).
         self.ptv: Dict[int, List[int]] = {}
@@ -62,10 +67,15 @@ class VSFSAnalysis(StagedSolverBase):
 
     def _prepare(self) -> None:
         start = time.perf_counter()
+        snapshot = self._versioning_snapshot
         if self.versioning is None:
-            self.versioning = version_objects(self.svfg)
+            self.versioning = version_objects(self.svfg, snapshot=snapshot)
         self._build_readers()
         self.stats.pre_time = time.perf_counter() - start
+        if snapshot is not None:
+            # pre_time reports the versioning pre-analysis, so it keeps
+            # the restored meld's own time.
+            self.stats.pre_time += snapshot["time"]
 
     def _build_readers(self) -> None:
         """Index which load/store nodes consume each ``(object, version)``.

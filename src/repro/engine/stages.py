@@ -338,8 +338,17 @@ class SolveStage(Stage):
         if self.level == "vsfs":
             from repro.core.vsfs import VSFSAnalysis
 
+            # A primed versioning stage (the CLI primes it under --store)
+            # already melded the shared SVFG: restore its labelling onto
+            # the copy instead of melding again.  A resumed solve restores
+            # its checkpoint's versioning, which includes on-the-fly
+            # constraints, so it never takes the stage's.
+            versioning = ctx.artifacts.get("versioning")
+            snapshot = (versioning.snapshot()
+                        if versioning is not None and ctx.resume_state is None
+                        else None)
             return VSFSAnalysis(svfg, delta=ctx.delta, ptrepo=ctx.ptrepo,
-                                ctx=ctx)
+                                ctx=ctx, versioning_snapshot=snapshot)
         raise AnalysisError(f"unknown solve level {self.level!r}")
 
     def steps(self, artifact: Any) -> int:

@@ -151,6 +151,14 @@ class TestJSONExport:
             assert stats["interner_entries"] > 0
             assert stats["dedup_resident_bytes"] > 0
         assert record["ratios"]["propagation_ratio"] > 1.0
+        # One untraced timing solve and one traced memory solve per
+        # analysis, labelled apart; the shared substrate is in neither.
+        solves = [(s["stage"], s["pass"]) for s in record["stages"]
+                  if s["main_phase"]]
+        assert solves == [("solve:sfs", "time"), ("solve:sfs", "memory"),
+                          ("solve:vsfs", "time"), ("solve:vsfs", "memory")]
+        assert all("pass" not in s for s in record["stages"]
+                   if not s["main_phase"])
 
     def test_runner_main_writes_json(self, tmp_path, capsys):
         import json

@@ -1,7 +1,11 @@
 """Unit tests for the repro-wpa command-line driver."""
 
+import tracemalloc
+
 import pytest
 
+import repro.cli
+import repro.core.vsfs
 from repro.cli import build_arg_parser, main
 
 SOURCE = """
@@ -215,6 +219,111 @@ class TestBudgetAndReportFlags:
         budgeted = capsys.readouterr().out
         pts = lambda text: [l for l in text.splitlines() if l.startswith("pt(")]
         assert pts(baseline) == pts(budgeted) != []
+
+
+class TestMemoryMeasurement:
+    """Only a memory budget traces allocations; a plain answer reads the
+    OS peak RSS instead."""
+
+    def test_plain_answer_solves_untraced(self, c_file, capsys, monkeypatch):
+        if tracemalloc.is_tracing():
+            pytest.skip("ambient tracemalloc active")
+        tracing = []
+        solve = repro.cli.solve_with_ladder
+
+        def recording(*args, **kwargs):
+            tracing.append(tracemalloc.is_tracing())
+            result = solve(*args, **kwargs)
+            tracing.append(tracemalloc.is_tracing())
+            return result
+
+        starts = []
+        start = tracemalloc.start
+        monkeypatch.setattr(repro.cli, "solve_with_ladder", recording)
+        monkeypatch.setattr(tracemalloc, "start",
+                            lambda *a: (starts.append(a), start(*a)))
+        assert main(["-vfspta", c_file, "--dump-pts"]) == 0
+        assert tracing == [False, False]
+        assert starts == []
+        out = capsys.readouterr().out
+        assert "peak memory (RSS): " in out and "pt(" in out
+
+    def test_memory_budget_traces_and_degrades(self, c_file, capsys):
+        assert main(["-vfspta", c_file, "--budget-mb", "0.01",
+                     "--report"]) == 0
+        captured = capsys.readouterr()
+        assert "degraded to andersen" in captured.err
+        assert "[andersen] fallback result (degraded from vsfs)" in captured.out
+        assert "traced peak" in captured.out
+        assert not tracemalloc.is_tracing()  # the meter stopped its tracing
+
+    def test_memory_budget_without_fallback_exits_3(self, c_file, capsys):
+        assert main(["-vfspta", c_file, "--budget-mb", "0.01",
+                     "--no-fallback"]) == 3
+        assert "memory budget exhausted" in capsys.readouterr().err
+
+
+class TestStoreReusesVersioning:
+    """Under --store the primed versioning stage is restored into the
+    solver's SVFG copy instead of melded a second time."""
+
+    # Indirect calls add on-the-fly version constraints; heap objects and
+    # globals give the meld stores to label.
+    PROGRAM = """
+        struct node { int v; struct node *f0; };
+        struct node *g;
+        struct node *cb1(struct node *a, struct node *b) { g = a; return b; }
+        struct node *cb2(struct node *a, struct node *b) { g = b; return a; }
+        fnptr h;
+        int main(int c) {
+            struct node *n = (struct node*)malloc(sizeof(struct node));
+            if (c) { h = cb1; } else { h = cb2; }
+            struct node *r = h(n, g);
+            r->f0 = n;
+            return 0;
+        }
+    """
+
+    def _answer(self, argv, capsys, monkeypatch):
+        calls = []
+        meld = repro.core.vsfs.version_objects
+
+        def recording(svfg, *args, **kwargs):
+            versioning = meld(svfg, *args, **kwargs)
+            snapshot = dict(versioning.snapshot())
+            snapshot.pop("time")
+            given = kwargs.get("snapshot")
+            calls.append((given["time"] if given is not None else None,
+                          snapshot))
+            return versioning
+
+        monkeypatch.setattr(repro.core.vsfs, "version_objects", recording)
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        pts = [line for line in out.splitlines() if line.startswith("pt(")]
+        assert len(calls) == 1
+        return pts, calls[0], out
+
+    def test_reused_versioning_matches_a_fresh_meld(self, tmp_path, capsys,
+                                                    monkeypatch):
+        path = tmp_path / "prog.c"
+        path.write_text(self.PROGRAM)
+        fresh_pts, (meld_time, fresh), __ = self._answer(
+            ["-vfspta", "--dump-pts", str(path)], capsys, monkeypatch)
+        assert meld_time is None
+        store = str(tmp_path / "store")
+        reused_pts, (meld_time, reused), out = self._answer(
+            ["-vfspta", "--dump-pts", "--store", store, str(path)],
+            capsys, monkeypatch)
+        assert meld_time is not None
+        assert reused_pts == fresh_pts != []
+        assert reused == fresh
+        assert reused["meld_steps"] > 0
+        # The versioning line still counts the stage's meld, not just
+        # the restore.
+        line = next(l for l in out.splitlines() if "versioning: " in l)
+        printed = float(line.rsplit("versioning: ", 1)[1].rstrip("s"))
+        assert printed >= round(meld_time, 4)
 
 
 class TestResilienceFlags:
