@@ -15,13 +15,6 @@ pre-analysis (:mod:`repro.core.versioning`).
 
 MEMPHI/ActualIN/ActualOUT/FormalIN/FormalOUT nodes need no processing at
 solve time: their behaviour is entirely compiled into version constraints.
-
-On top of the versioned formulation sit the same two switchable
-optimisations as SFS (:class:`StagedSolverBase`): the delta kernel, which
-forwards only the new bits (``new & ~old``) along version constraints and
-wakes a load/store only with the delta that concerns it, and the points-to
-repository, which stores each distinct version set once behind a memoised
-union cache.
 """
 
 from __future__ import annotations
@@ -44,21 +37,17 @@ class VSFSAnalysis(StagedSolverBase):
     analysis_name = "vsfs"
 
     def __init__(self, svfg: SVFG, versioning: Optional[ObjectVersioning] = None,
-                 delta: bool = True, ptrepo: bool = True, meter=None,
-                 faults=None, checkpointer=None, ctx=None,
-                 mde=None, mde_batch=None,
+                 meter=None, faults=None, checkpointer=None, ctx=None,
                  versioning_snapshot: Optional[dict] = None):
-        super().__init__(svfg, delta=delta, ptrepo=ptrepo, meter=meter,
-                         faults=faults, checkpointer=checkpointer, ctx=ctx,
-                         mde=mde, mde_batch=mde_batch)
+        super().__init__(svfg, meter=meter, faults=faults,
+                         checkpointer=checkpointer, ctx=ctx)
         self._given_versioning = versioning
         self.versioning: Optional[ObjectVersioning] = versioning
         # A meld of the graph *svfg* was copied from, restored in place of
         # a second meld.  _prepare restores it where a meld would run:
         # after the pre_meld fault point and inside pre_time.
         self._versioning_snapshot = versioning_snapshot
-        # Global points-to table: oid -> version id -> entry (a PTRepo id
-        # when ptrepo is on, a raw mask otherwise).
+        # Global points-to table: oid -> version id -> mask.
         self.ptv: Dict[int, List[int]] = {}
         # (oid, version) -> nodes that must re-run when the set grows.
         self.readers: Dict[Tuple[int, int], List[int]] = {}
@@ -118,165 +107,62 @@ class VSFSAnalysis(StagedSolverBase):
         table = self.ptv.get(oid)
         if table is None or ver >= len(table):
             return 0
-        return self._entry_mask(table[ver])
+        return table[ver]
 
     def _ptv_join(self, oid: int, ver: int, mask: int) -> None:
         """Grow pt_κ(o) and run [A-PROP]ⱽ transitively.
 
-        The delta kernel forwards only the bits each version had not seen;
-        the eager path re-merges and re-forwards whole masks.
-
-        With the batch memo on, the whole per-version step is one
-        ``BatchMemo.apply`` lookup, and — because global (object, version)
-        keying makes identical (entry, delta) pairs recur across versions
-        and nodes — the transitive closure walks the constraint chain in
-        *id space*: a forwarded delta is never re-interned, and a chain
-        the solver already walked anywhere costs one lookup per hop.
+        Every grown version wakes its readers and forwards its whole new
+        set along its version constraints.
         """
         if not mask:
             return
-        faults = self.faults
-        if faults is not None:
-            faults.fire("propagate", self.analysis_name)
+        if self.faults is not None:
+            self.faults.fire("propagate", self.analysis_name)
         assert self.versioning is not None
         constraints = self.versioning.constraints
         readers = self.readers
-        repo = self.ptrepo
-        batch = self.batch
-        delta_mode = self.delta
-        worklist = self.worklist
+        push = self.worklist.push
         stats = self.stats
-        if batch is not None:
-            id_stack = [(oid, ver, repo.intern(mask))]
-            while id_stack:
-                oid, ver, mask_id = id_stack.pop()
-                table = self._table(oid)
-                while ver >= len(table):  # defensive: OTF-interned versions
-                    table.append(0)
-                new, added_id = batch.apply(table[ver], mask_id)
-                if delta_mode:
-                    if not added_id:
-                        continue
-                    stats.unions += 1
-                else:
-                    stats.unions += 1  # eager: union applied on every visit
-                    if not added_id:
-                        continue
-                if faults is not None:
-                    faults.fire("ptrepo_union", self.analysis_name)
-                table[ver] = new
-                if delta_mode:
-                    added = repo.mask(added_id)
-                    for reader in readers.get((oid, ver), ()):
-                        worklist.push_delta(reader, oid, added)
-                    forward_id = added_id
-                else:
-                    for reader in readers.get((oid, ver), ()):
-                        worklist.push(reader)
-                    forward_id = new  # old | added
-                for dst_ver in constraints.get((oid, ver), ()):
-                    stats.propagations += 1
-                    id_stack.append((oid, dst_ver, forward_id))
-            return
-        stack = [(oid, ver, mask)]
+        table = self._table(oid)
+        stack = [(ver, mask)]
         while stack:
-            oid, ver, mask = stack.pop()
-            table = self._table(oid)
+            ver, mask = stack.pop()
             while ver >= len(table):  # defensive: OTF-interned versions
                 table.append(0)
-            entry = table[ver]
-            old = repo.mask(entry) if repo is not None else entry
-            added = mask & ~old
-            if delta_mode:
-                if not added:
-                    continue
-                stats.unions += 1
-            else:
-                stats.unions += 1  # eager: union applied on every visit
-                if not added:
-                    continue
-            if repo is not None:
-                if faults is not None:
-                    faults.fire("ptrepo_union", self.analysis_name)
-                table[ver] = repo.union_mask(entry, added)
-            else:
-                table[ver] = old | added
-            if delta_mode:
-                for reader in readers.get((oid, ver), ()):
-                    worklist.push_delta(reader, oid, added)
-                forward = added
-            else:
-                for reader in readers.get((oid, ver), ()):
-                    worklist.push(reader)
-                forward = old | added
+            old = table[ver]
+            new = old | mask
+            stats.unions += 1  # one union applied per visit
+            if new == old:
+                continue
+            table[ver] = new
+            for reader in readers.get((oid, ver), ()):
+                push(reader)
             for dst_ver in constraints.get((oid, ver), ()):
                 stats.propagations += 1
-                stack.append((oid, dst_ver, forward))
+                stack.append((dst_ver, new))
 
     # -------------------------------------------------------------- mem rules
 
-    def _process_load(self, node: InstNode, inst: LoadInst,
-                      dirty: Optional[Dict[int, int]] = None) -> None:
+    def _process_load(self, node: InstNode, inst: LoadInst) -> None:
         """[LOAD]ⱽ: pt(p) ⊇ pt_{C_ℓ(o)}(o) for each o ∈ pt(q)."""
         assert self.versioning is not None
-        ptr_mask = self.value_mask(inst.ptr)
-        if dirty is not None:
-            # Deltas were pushed from exactly the (o, C_ℓ(o)) entries this
-            # load reads, so the new bits are all that can flow to pt(p).
-            mask = 0
-            for oid, delta in dirty.items():
-                if ptr_mask >> oid & 1:
-                    mask |= delta
-            if mask:
-                self.set_pt(inst.dst, mask)
-            return
         consumed = self.versioning.consumed[node.id]
-        batch = self.batch
-        if batch is not None:
-            # The n-way gather over the consumed versions' entry ids is a
-            # recurring batch (loads sharing versions share the gather).
-            ids = []
-            ptv = self.ptv
-            for oid in iter_bits(ptr_mask):
-                ver = consumed.get(oid)
-                if ver is None:
-                    continue
-                table = ptv.get(oid)
-                if table is not None and ver < len(table):
-                    ids.append(table[ver])
-            mask = batch.gather_mask(ids)
-        else:
-            mask = 0
-            for oid in iter_bits(ptr_mask):
-                ver = consumed.get(oid)
-                if ver is not None:
-                    mask |= self.ptv_mask(oid, ver)
+        mask = 0
+        for oid in iter_bits(self.value_mask(inst.ptr)):
+            ver = consumed.get(oid)
+            if ver is not None:
+                mask |= self.ptv_mask(oid, ver)
         if mask:
             self.set_pt(inst.dst, mask)
 
-    def _process_store(self, node: InstNode, inst: StoreInst,
-                       dirty: Optional[Dict[int, int]] = None) -> None:
+    def _process_store(self, node: InstNode, inst: StoreInst) -> None:
         """[STORE]ⱽ + [SU/WU]ⱽ: write the yielded versions."""
         assert self.versioning is not None
         versioning = self.versioning
         ptr_mask = self.value_mask(inst.ptr)
         su_oid = self.strong_update_target(ptr_mask)
         yielded = versioning.yielded[node.id]
-        if dirty is not None:
-            # Only consumed versions grew; gen and the pointer are
-            # unchanged, so each surviving delta flows through unchanged.
-            for oid, delta in dirty.items():
-                if oid == su_oid:
-                    continue  # killed: the consumed set does not survive
-                if self.defers_passthrough(ptr_mask, oid):
-                    continue  # deferred until pt(ptr) resolves (full revisit)
-                y_ver = yielded.get(oid)
-                if y_ver is None:
-                    continue
-                if ptr_mask >> oid & 1:
-                    self.stats.weak_updates += 1
-                self._ptv_join(oid, y_ver, delta)
-            return
         gen = self.value_mask(inst.value)
         consumed = versioning.consumed[node.id]
         for chi in self.memssa.store_chis.get(inst, ()):
@@ -298,8 +184,7 @@ class VSFSAnalysis(StagedSolverBase):
                 out = incoming  # pass-through (χ over-approximation)
             self._ptv_join(oid, y_ver, out)
 
-    def _process_mem_node(self, node: SVFGNode,
-                          dirty: Optional[Dict[int, int]] = None) -> None:
+    def _process_mem_node(self, node: SVFGNode) -> None:
         """MEMPHI and actual/formal IN/OUT nodes are fully compiled into
         version constraints — nothing to do at solve time."""
 
@@ -365,15 +250,13 @@ class VSFSAnalysis(StagedSolverBase):
         :meth:`_ptv_join`, whose reader pushes and transitive walk do
         the delivery.
         """
-        repo = self.ptrepo
         preloaded: "set[Tuple[int, int]]" = set()
 
         def write(oid: int, ver: int, mask: int) -> None:
             table = self._table(oid)
             while ver >= len(table):
                 table.append(0)
-            merged = self._entry_mask(table[ver]) | mask
-            table[ver] = repo.intern(merged) if repo is not None else merged
+            table[ver] |= mask
             preloaded.add((oid, ver))
 
         for preload, want_yield in ((plan.node_in, False),
@@ -436,8 +319,8 @@ class VSFSAnalysis(StagedSolverBase):
     # ----------------------------------------------------------- persistence
 
     def _snapshot_memory(self) -> Dict[str, object]:
-        """The global ``(object, version)`` table, the PTRepo interning
-        table, and the full versioning state (C/Y tables + constraints —
+        """The global ``(object, version)`` table and the full versioning
+        state (C/Y tables + constraints —
         including every constraint registered on the fly, which a re-run
         of the pre-analysis could not reproduce without re-discovering the
         call graph first).
@@ -449,8 +332,7 @@ class VSFSAnalysis(StagedSolverBase):
         """
         assert self.versioning is not None
         return {
-            "repo": self.ptrepo.snapshot() if self.ptrepo is not None else None,
-            "ptv": {str(oid): [format(entry, "x") for entry in table]
+            "ptv": {str(oid): [format(mask, "x") for mask in table]
                     for oid, table in self.ptv.items()},
             "versioning": self.versioning.snapshot(),
         }
@@ -463,30 +345,20 @@ class VSFSAnalysis(StagedSolverBase):
         self._build_readers()
 
     def _restore_memory(self, mem: Dict[str, object]) -> None:
-        from repro.datastructs.ptrepo import PTRepo
-        from repro.errors import CheckpointError
-
-        if self.ptrepo is not None:
-            if mem["repo"] is None:
-                raise CheckpointError(
-                    "checkpoint lacks the ptrepo interning table")
-            self.ptrepo = PTRepo.from_snapshot(mem["repo"])
-            self._rebind_mde()  # memo keys/arena positions are per-repo
-        self.ptv = {int(oid): [int(entry, 16) for entry in table]
+        self.ptv = {int(oid): [int(mask, 16) for mask in table]
                     for oid, table in mem["ptv"].items()}
 
     # --------------------------------------------------------------- summary
 
     def _memory_footprint(self) -> None:
         self._finish_footprint(
-            entry for table in self.ptv.values() for entry in table
+            mask for table in self.ptv.values() for mask in table
         )
 
 
 def run_vsfs(svfg: SVFG, versioning: Optional[ObjectVersioning] = None,
-             delta: bool = True, ptrepo: bool = True, meter=None,
-             faults=None, checkpointer=None) -> FlowSensitiveResult:
+             meter=None, faults=None,
+             checkpointer=None) -> FlowSensitiveResult:
     """Run VSFS over a built SVFG (versioning is computed if not supplied)."""
-    return VSFSAnalysis(svfg, versioning, delta=delta, ptrepo=ptrepo,
-                        meter=meter, faults=faults,
+    return VSFSAnalysis(svfg, versioning, meter=meter, faults=faults,
                         checkpointer=checkpointer).run()

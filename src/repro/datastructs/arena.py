@@ -1,10 +1,13 @@
 """Memory-mapped append-only arena of interned points-to masks.
 
-The third layer of the multi-level deduplication engine
-(:mod:`repro.datastructs.mde`): a flat byte region holding every distinct
-points-to mask a repository has interned, one record per
-:class:`~repro.datastructs.ptrepo.PTRepo` id.  Two properties make the
-flat file worth having:
+No solver uses this module.  It stays only because the benchmark's
+``wpabench/layers.py`` still probes ``PTArena.open``/``attach``; delete
+it together with that probe (EXPERIMENTS.md E10 records why the
+deduplication stack it belonged to was removed).
+
+A flat byte region holding every distinct points-to mask a repository
+has interned, one record per :class:`~repro.datastructs.ptrepo.PTRepo`
+id.  It offered:
 
 - **read-shared attachment** — fork workers :meth:`attach` the region
   read-only through ``mmap``, so the mask bytes live in shared physical

@@ -46,7 +46,7 @@ class StageEvent:
     #: "ok" or the exception type name that ended the stage.
     outcome: Optional[str] = None
     #: Optional stage-specific observations (solve stages attach their
-    #: dedup-engine figures: batch memo hit rate, arena resident bytes).
+    #: warm re-solve statistics under ``incremental``).
     detail: Optional[Dict[str, object]] = None
 
 
@@ -206,16 +206,6 @@ class StageTrace:
                 f"{record.steps:>8} {cache:<12} {size:>8} "
                 f"{record.outcome or '-'}")
             detail = record.detail or {}
-            memo_calls = (int(detail.get("batch_memo_hits") or 0)
-                          + int(detail.get("batch_memo_misses") or 0))
-            if memo_calls:
-                rate = int(detail.get("batch_memo_hits") or 0) / memo_calls
-                lines.append(
-                    f"  {'':<14} dedup: batch memo "
-                    f"{detail.get('batch_memo_hits')}/{memo_calls} hits "
-                    f"({rate:.1%}), interner "
-                    f"{detail.get('interner_entries', 0)} sets, arena "
-                    f"{detail.get('arena_resident_bytes', 0)} B")
             incr = detail.get("incremental")
             if isinstance(incr, dict):
                 if incr.get("fallback_reason"):

@@ -16,8 +16,8 @@ The graph mirrors the paper's staging::
 Fingerprints are content hashes: a stage's fingerprint mixes its name,
 its version, its configuration token and every upstream fingerprint; the
 root is the prepared module's printed-IR hash, so editing the program or
-flipping an ablation flag changes exactly the fingerprints downstream of
-the change.
+changing a stage's run configuration changes exactly the fingerprints
+downstream of the change.
 """
 
 from __future__ import annotations
@@ -288,11 +288,6 @@ class SolveStage(Stage):
         self.inputs = (("svfg",) if level in ("sfs", "vsfs")
                        else ("prepare",))
 
-    def config_token(self, ctx: Any) -> str:
-        if self.level in ("sfs", "vsfs"):
-            return f"delta={ctx.delta},ptrepo={ctx.ptrepo}"
-        return ""
-
     def run(self, ctx: Any) -> Any:
         solver = self.make_solver(ctx)
         plan = ctx.warm_plan
@@ -333,8 +328,7 @@ class SolveStage(Stage):
         if self.level == "sfs":
             from repro.solvers.sfs import SFSAnalysis
 
-            return SFSAnalysis(svfg, delta=ctx.delta, ptrepo=ctx.ptrepo,
-                               ctx=ctx)
+            return SFSAnalysis(svfg, ctx=ctx)
         if self.level == "vsfs":
             from repro.core.vsfs import VSFSAnalysis
 
@@ -347,8 +341,7 @@ class SolveStage(Stage):
             snapshot = (versioning.snapshot()
                         if versioning is not None and ctx.resume_state is None
                         else None)
-            return VSFSAnalysis(svfg, delta=ctx.delta, ptrepo=ctx.ptrepo,
-                                ctx=ctx, versioning_snapshot=snapshot)
+            return VSFSAnalysis(svfg, ctx=ctx, versioning_snapshot=snapshot)
         raise AnalysisError(f"unknown solve level {self.level!r}")
 
     def steps(self, artifact: Any) -> int:
@@ -381,8 +374,7 @@ class ParallelSolveStage(SolveStage):
         self.inputs = ("svfg",)
 
     def config_token(self, ctx: Any) -> str:
-        return (f"delta={ctx.delta},ptrepo={ctx.ptrepo},"
-                f"jobs={ctx.jobs},mode={ctx.parallel_mode}")
+        return f"jobs={ctx.jobs},mode={ctx.parallel_mode}"
 
     def run(self, ctx: Any) -> Any:
         from repro.parallel.driver import solve_parallel
@@ -407,10 +399,9 @@ class ParallelSolveStage(SolveStage):
         budget = ctx.meter.budget if ctx.meter is not None else None
         result = solve_parallel(
             ctx.artifacts["svfg"], self.base_level, ctx.jobs,
-            delta=ctx.delta, ptrepo=ctx.ptrepo, budget=budget,
-            faults=ctx.faults, versioning=ctx.artifacts.get("versioning"),
-            mode=ctx.parallel_mode, mde=getattr(ctx, "mde", None),
-            mde_batch=getattr(ctx, "mde_batch", True))
+            budget=budget, faults=ctx.faults,
+            versioning=ctx.artifacts.get("versioning"),
+            mode=ctx.parallel_mode)
         if ctx.meter is not None:
             # The workers metered themselves (per-worker budgets); reflect
             # their pops into the governing meter so ladder reports and

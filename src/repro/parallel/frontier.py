@@ -18,9 +18,8 @@ A worker's round output is one :class:`FrontierBatch` holding
   name)`` references (broadcast; every worker re-wires its own SVFG copy).
 
 Receivers keep one positional mirror repo per peer
-(:class:`PeerMirrors`) and resolve wire ids through it.  The codec is
-independent of the solver's ``ptrepo`` ablation flag: raw sets never
-travel even when deduplicated storage is switched off.
+(:class:`PeerMirrors`) and resolve wire ids through it, so raw sets
+never travel.
 """
 
 from __future__ import annotations

@@ -62,14 +62,6 @@ class WorkerSpec:
     level: str
     svfg: Any
     partition: Partition
-    delta: bool = True
-    ptrepo: bool = True
-    #: Propagation-batch memoisation inside each worker's kernel.
-    mde_batch: bool = True
-    #: Shared mask arena to attach read-only (mmap): under fork the
-    #: mapped pages are physically shared with the parent and siblings,
-    #: so pre-solved masks do not get copy-on-write duplicated per child.
-    arena_path: Optional[str] = None
     #: Shared meld-versioning state (VSFS): computed once by the driver,
     #: restored per worker — recomputing it per worker would multiply the
     #: pre-analysis cost by the worker count.
@@ -99,19 +91,9 @@ def build_sharded_solver(spec: WorkerSpec):
         raise ValueError(f"no sharded solver for analysis level {spec.level!r}")
     svfg = spec.svfg if spec.share_svfg else spec.svfg.copy(cow=True)
     kwargs: Dict[str, Any] = {
-        "delta": spec.delta,
-        "ptrepo": spec.ptrepo,
-        "mde_batch": spec.mde_batch,
         "meter": spec.budget.meter() if spec.budget is not None else None,
         "faults": spec.faults,
     }
-    if spec.ptrepo:
-        from repro.datastructs.mde import MdeEngine
-
-        # Best-effort, read-only: a worker must never quarantine or
-        # rewrite the parent-owned arena, and a missing/corrupt file just
-        # means this worker warms up from an empty interner.
-        kwargs["mde"] = MdeEngine.open(spec.arena_path, attach_only=True)
     if spec.level == "vsfs" and spec.versioning_snapshot is not None:
         from repro.core.versioning import ObjectVersioning
 

@@ -18,13 +18,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.analysis.callgraph import CallGraph
 from repro.datastructs.bitset import count_bits, iter_bits
-from repro.datastructs.mde import BatchMemo, MdeEngine
-from repro.datastructs.ptrepo import PTRepo
-from repro.datastructs.worklist import DeltaWorkList, FIFOWorkList
+from repro.datastructs.worklist import FIFOWorkList
 from repro.errors import BudgetExceeded
 from repro.ir.function import Function
 from repro.ir.instructions import (
@@ -57,17 +55,13 @@ class SolverStats:
 
     ``propagations`` counts indirect (per-object) set propagations along
     SVFG edges / version constraints — the quantity VSFS reduces.
-    ``unions`` counts set-union operations *applied* to stored
-    address-taken points-to data: the eager path performs one per
-    propagation target, the delta kernel only when the forwarded bits
-    contain something new, so the gap between the two is exactly the
-    redundant set work the kernel removes.
+    ``unions`` counts set-union operations applied to stored
+    address-taken points-to data: one per propagation target and one per
+    store write.
     ``stored_ptsets``/``stored_ptset_bits`` describe the final memory
     footprint of address-taken points-to data, the paper's memory story;
-    ``unique_ptsets``/``unique_ptset_bits`` are the deduplicated
-    counterparts (what a :class:`~repro.datastructs.ptrepo.PTRepo`
-    actually keeps), and ``union_cache_hits``/``union_cache_misses``
-    describe its memoised-union cache.
+    ``unique_ptsets``/``unique_ptset_bits`` count the distinct sets among
+    them (how much a deduplicating store could share).
     """
 
     analysis: str = ""
@@ -82,13 +76,9 @@ class SolverStats:
     stored_ptset_bits: int = 0
     unique_ptsets: int = 0
     unique_ptset_bits: int = 0
-    union_cache_hits: int = 0
-    union_cache_misses: int = 0
     top_level_bits: int = 0
     callgraph_edges: int = 0
     indirect_calls_resolved: int = 0
-    delta_kernel: bool = False  # delta propagation enabled for this run
-    ptrepo_enabled: bool = False  # deduplicated storage enabled for this run
     #: Pops inherited from a restored checkpoint.  ``nodes_processed`` is
     #: the *logical solve's* total (restored runs continue the count), so
     #: the work this attempt actually performed is :meth:`own_steps`.
@@ -96,23 +86,12 @@ class SolverStats:
     #: difference — summing ``nodes_processed`` over the attempts of a
     #: crashed-and-resumed run counts every pre-crash pop once per resume.
     resumed_steps: int = 0
-    #: Propagation-batch memoisation (repro.datastructs.mde) enabled,
-    #: plus its hit/miss counters — a hit is one whole transfer step
-    #: answered from the memo instead of recomputed.
-    mde_batch: bool = False
+    #: Always 0: the memo layers they counted are gone, and
+    #: wpabench/layers.py still reads these four fields.
     batch_memo_hits: int = 0
     batch_memo_misses: int = 0
-    #: Dedup *memory* cost gauges: how many rows the interner holds, how
-    #: many entries the pairwise-union and batch memos have accumulated
-    #: (both grow without bound), the estimated resident bytes of the
-    #: deduplicated mask content, and the size of the memory-mapped
-    #: arena this solve was attached to (0 when arena-less).
-    interner_entries: int = 0
-    union_cache_entries: int = 0
-    batch_cache_entries: int = 0
-    dedup_resident_bytes: int = 0
-    arena_masks: int = 0
-    arena_resident_bytes: int = 0
+    union_cache_hits: int = 0
+    union_cache_misses: int = 0
 
     #: Work counters that add across disjoint units of work (parallel
     #: shard workers, independent programs).  Times sum to aggregate CPU
@@ -121,8 +100,6 @@ class SolverStats:
         "solve_time", "pre_time", "nodes_processed", "propagations",
         "unions", "strong_updates", "weak_updates", "stored_ptsets",
         "stored_ptset_bits", "unique_ptsets", "unique_ptset_bits",
-        "union_cache_hits", "union_cache_misses",
-        "batch_memo_hits", "batch_memo_misses",
         "indirect_calls_resolved", "resumed_steps",
     )
     #: Final-state gauges over structures the units may share (each
@@ -130,12 +107,7 @@ class SolverStats:
     #: merged top-level table is the OR of the workers') — summing would
     #: multiply shared state by the worker count, so a merge takes the
     #: max and the driver overwrites them with globally recomputed values.
-    #: The dedup-memory gauges behave the same way: workers attached to a
-    #: shared arena would sum its bytes once per worker.
-    GAUGE_FIELDS = ("top_level_bits", "callgraph_edges",
-                    "interner_entries", "union_cache_entries",
-                    "batch_cache_entries", "dedup_resident_bytes",
-                    "arena_masks", "arena_resident_bytes")
+    GAUGE_FIELDS = ("top_level_bits", "callgraph_edges")
 
     @classmethod
     def merge(cls, parts: "List[SolverStats]") -> "SolverStats":
@@ -156,9 +128,6 @@ class SolverStats:
         if not parts:
             return merged
         merged.analysis = parts[0].analysis
-        merged.delta_kernel = all(p.delta_kernel for p in parts)
-        merged.ptrepo_enabled = all(p.ptrepo_enabled for p in parts)
-        merged.mde_batch = all(p.mde_batch for p in parts)
         for name in cls.ADDITIVE_FIELDS:
             setattr(merged, name, sum(getattr(p, name) for p in parts))
         for name in cls.GAUGE_FIELDS:
@@ -176,14 +145,6 @@ class SolverStats:
     def dedup_ratio(self) -> float:
         """Referenced sets per unique set (1.0 = no sharing at all)."""
         return self.stored_ptsets / self.unique_ptsets if self.unique_ptsets else 0.0
-
-    def union_cache_hit_rate(self) -> float:
-        calls = self.union_cache_hits + self.union_cache_misses
-        return self.union_cache_hits / calls if calls else 0.0
-
-    def batch_memo_hit_rate(self) -> float:
-        calls = self.batch_memo_hits + self.batch_memo_misses
-        return self.batch_memo_hits / calls if calls else 0.0
 
 
 class FlowSensitiveResult:
@@ -233,25 +194,9 @@ class FlowSensitiveResult:
 class StagedSolverBase:
     """Worklist solver over the SVFG; see module docstring.
 
-    Two orthogonal performance features are configurable (both on by
-    default; the ablation benchmarks switch them off):
-
-    - ``delta``: the **delta propagation kernel** — the worklist carries
-      object-granular dirty deltas (:class:`DeltaWorkList`) so a popped
-      node re-propagates only the objects whose sets actually grew, and
-      propagation forwards only the new bits (``new & ~old``) instead of
-      whole masks;
-    - ``ptrepo``: **deduplicated storage** — IN/OUT / version-table
-      entries hold dense :class:`~repro.datastructs.ptrepo.PTRepo` ids
-      instead of raw masks, so byte-identical sets are stored once and
-      repeated unions hit a memoised cache.
-
-    On top of ``ptrepo`` sits the multi-level dedup engine
-    (:class:`~repro.datastructs.mde.MdeEngine`): passing ``mde`` makes
-    this solver share its interner, batch memo and arena with other
-    solvers built over the same engine (the degradation ladder's rungs),
-    and ``mde_batch`` ablates the propagation-batch memo alone.  All of
-    it is bit-identity-preserving — only recomputation is avoided.
+    One kernel: a FIFO worklist of node ids, tables of raw bit masks, and
+    eager propagation — a popped node re-applies its whole transfer rule
+    and forwards whole masks to its successors.
     """
 
     analysis_name = "base"
@@ -261,10 +206,8 @@ class StagedSolverBase:
     SEED_TYPES = (AllocInst, CopyInst, PhiInst, FieldInst, LoadInst,
                   StoreInst, CallInst, RetInst)
 
-    def __init__(self, svfg: SVFG, delta: bool = True, ptrepo: bool = True,
-                 meter=None, faults=None, checkpointer=None, ctx=None,
-                 mde: Optional[MdeEngine] = None,
-                 mde_batch: Optional[bool] = None):
+    def __init__(self, svfg: SVFG, meter=None, faults=None,
+                 checkpointer=None, ctx=None):
         if ctx is not None:
             # Engine path: governance defaults come from the StageContext
             # instead of per-constructor keyword threading; explicit
@@ -272,37 +215,12 @@ class StagedSolverBase:
             meter = ctx.meter if meter is None else meter
             faults = ctx.faults if faults is None else faults
             checkpointer = ctx.checkpointer if checkpointer is None else checkpointer
-            mde = getattr(ctx, "mde", None) if mde is None else mde
-            if mde_batch is None:
-                mde_batch = getattr(ctx, "mde_batch", None)
         self.svfg = svfg
         self.module = svfg.module
         self.andersen = svfg.andersen
         self.memssa = svfg.memssa
         self.pt: List[int] = [0] * len(self.module.variables)
         self.callgraph = CallGraph(self.module)
-        self.delta = bool(delta)
-        # Dedup stack: the repo always comes from an MdeEngine so ladder
-        # rungs handed the same engine hash-cons into one interner; the
-        # batch memo is on by default and ablated via mde_batch=False.
-        if ptrepo:
-            self.mde: Optional[MdeEngine] = mde if mde is not None else MdeEngine()
-            self.ptrepo: Optional[PTRepo] = self.mde.repo
-            use_batch = True if mde_batch is None else bool(mde_batch)
-            self.batch: Optional[BatchMemo] = self.mde.batch if use_batch else None
-        else:
-            self.mde = None
-            self.ptrepo = None
-            self.batch = None
-        # A shared engine's counters accumulate across the rungs solved
-        # on it; remember where they stood when *this* solver started so
-        # its stats stay per-solve.
-        self._repo_counter_base = ((self.ptrepo.union_hits,
-                                    self.ptrepo.union_misses)
-                                   if self.ptrepo is not None else (0, 0))
-        self._batch_counter_base = ((self.batch.hits, self.batch.misses)
-                                    if self.batch is not None else (0, 0))
-        self._batch_baseline = (0, 0)  # pre-resume batch-memo hits/misses
         # Resource governance (repro.runtime): a BudgetMeter ticked once
         # per worklist pop, and a FaultPlan fired at the instrumented
         # trigger points.  Both default to None, leaving the hot loops of
@@ -320,28 +238,14 @@ class StagedSolverBase:
         # preloaded and only the dirty closure is recomputed.
         self._warm_plan = None
         self._steps_done = 0  # pops completed in earlier (resumed) runs
-        self._union_baseline = (0, 0)  # pre-resume repo cache hits/misses
-        self.stats = SolverStats(
-            analysis=self.analysis_name,
-            delta_kernel=self.delta,
-            ptrepo_enabled=ptrepo,
-            mde_batch=self.batch is not None,
-        )
-        # Worklist of SVFG node ids with O(1) dedup; the delta kernel's
-        # variant additionally carries per-(node, object) dirty masks.
-        if self.delta:
-            self.worklist: "DeltaWorkList | FIFOWorkList[int]" = DeltaWorkList()
-        else:
-            self.worklist = FIFOWorkList()
+        self.stats = SolverStats(analysis=self.analysis_name)
+        # Worklist of SVFG node ids with O(1) dedup.
+        self.worklist: FIFOWorkList[int] = FIFOWorkList()
         self._function_objects: Dict[int, Function] = {
             obj.id: obj.function
             for obj in self.module.objects
             if isinstance(obj, FunctionObject)
         }
-
-    def _entry_mask(self, entry: int) -> int:
-        """The mask a stored table entry denotes (repo id or raw mask)."""
-        return self.ptrepo.mask(entry) if self.ptrepo is not None else entry
 
     # ------------------------------------------------------------- top level
 
@@ -389,53 +293,28 @@ class StagedSolverBase:
             nodes = self.svfg.nodes
             tick = meter.tick if meter is not None else None
             process = self._process
+            pop = worklist.pop
             if checkpointer is not None:
                 # Governed + checkpointed loop: the cadence probe runs
                 # *before* the pop, so a snapshot always captures a state
                 # whose worklist still holds the next node.
                 maybe = checkpointer.maybe
                 base_steps = self._steps_done
-                if isinstance(worklist, DeltaWorkList):
-                    pop_with_dirty = worklist.pop_with_dirty
-                    while worklist:
-                        if tick is not None:
-                            tick()
-                        maybe(self, base_steps + processed)
-                        node_id, dirty = pop_with_dirty()
-                        processed += 1
-                        process(nodes[node_id], dirty)
-                else:
-                    pop = worklist.pop
-                    while worklist:
-                        if tick is not None:
-                            tick()
-                        maybe(self, base_steps + processed)
-                        processed += 1
-                        process(nodes[pop()], None)
-            elif isinstance(worklist, DeltaWorkList):
-                pop_with_dirty = worklist.pop_with_dirty
-                if tick is None:
-                    while worklist:
-                        node_id, dirty = pop_with_dirty()
-                        processed += 1
-                        process(nodes[node_id], dirty)
-                else:
-                    while worklist:
+                while worklist:
+                    if tick is not None:
                         tick()
-                        node_id, dirty = pop_with_dirty()
-                        processed += 1
-                        process(nodes[node_id], dirty)
+                    maybe(self, base_steps + processed)
+                    processed += 1
+                    process(nodes[pop()])
+            elif tick is None:
+                while worklist:
+                    processed += 1
+                    process(nodes[pop()])
             else:
-                pop = worklist.pop
-                if tick is None:
-                    while worklist:
-                        processed += 1
-                        process(nodes[pop()], None)
-                else:
-                    while worklist:
-                        tick()
-                        processed += 1
-                        process(nodes[pop()], None)
+                while worklist:
+                    tick()
+                    processed += 1
+                    process(nodes[pop()])
         except BudgetExceeded as exc:
             self.stats.nodes_processed = self._steps_done + processed
             self.stats.solve_time = time.perf_counter() - begun
@@ -528,16 +407,13 @@ class StagedSolverBase:
         """Everything needed to continue this solve in a fresh process.
 
         Top-level masks are hex strings; the memory layer (IN/OUT maps or
-        the versioned global table, plus the PTRepo interning table) comes
-        from the subclass hook ``_snapshot_memory``; call edges and field
-        objects are stored as replayable references (see
-        :mod:`repro.store.codec`).
+        the versioned global table) comes from the subclass hook
+        ``_snapshot_memory``; call edges and field objects are stored as
+        replayable references (see :mod:`repro.store.codec`).
         """
         from repro.store.codec import snapshot_call_edges, snapshot_fields
 
         stats = self.stats
-        union_hits, union_misses = self._union_counters()
-        batch_hits, batch_misses = self._batch_counters()
         return {
             "pt": [format(mask, "x") for mask in self.pt],
             "worklist": self.worklist.snapshot(),
@@ -551,15 +427,6 @@ class StagedSolverBase:
                 "strong_updates": stats.strong_updates,
                 "weak_updates": stats.weak_updates,
                 "indirect_calls_resolved": stats.indirect_calls_resolved,
-                # Union-cache and batch-memo tallies live on the repo /
-                # engine, whose snapshots are deliberately content-only;
-                # carrying the cumulative per-solve figures here keeps
-                # them consistent with the cumulative ``unions`` across
-                # a resume.
-                "union_cache_hits": union_hits,
-                "union_cache_misses": union_misses,
-                "batch_memo_hits": batch_hits,
-                "batch_memo_misses": batch_misses,
             },
         }
 
@@ -594,13 +461,6 @@ class StagedSolverBase:
             stats.strong_updates = counters["strong_updates"]
             stats.weak_updates = counters["weak_updates"]
             stats.indirect_calls_resolved = counters["indirect_calls_resolved"]
-            # The restored repo's live tallies start at zero; remember the
-            # pre-crash ones so _finish_footprint reports cumulative
-            # cache numbers matching the cumulative union count.
-            self._union_baseline = (counters.get("union_cache_hits", 0),
-                                    counters.get("union_cache_misses", 0))
-            self._batch_baseline = (counters.get("batch_memo_hits", 0),
-                                    counters.get("batch_memo_misses", 0))
         except CheckpointError:
             raise
         except (KeyError, ValueError, TypeError, IndexError, AttributeError) as err:
@@ -641,36 +501,8 @@ class StagedSolverBase:
         """Hook: inverse of ``_snapshot_memory``."""
         raise NotImplementedError
 
-    def _rebind_mde(self) -> None:
-        """Re-key the dedup layers after ``self.ptrepo`` was swapped.
-
-        Both memo layers are keyed by one repository instance's dense
-        ids; a checkpoint restore installs a repository rebuilt from the
-        snapshot, whose ids share nothing with the previous repo, any
-        engine peer, or any arena record positions.  Consulting a stale
-        memo (or flushing to a stale arena) would alias unrelated sets,
-        so the restored solver gets a private engine over the restored
-        repo — warm sharing simply starts over, correctness first.
-        Subclass ``_restore_memory`` implementations must call this
-        right after swapping the repo in.
-        """
-        if self.ptrepo is None:
-            return
-        use_batch = self.batch is not None
-        self.mde = MdeEngine(repo=self.ptrepo)
-        self.batch = self.mde.batch if use_batch else None
-        # The fresh repo's live counters start at zero.
-        self._repo_counter_base = (0, 0)
-        self._batch_counter_base = (0, 0)
-
-    def _process(self, node: SVFGNode, dirty: Optional[Dict[int, int]] = None) -> None:
-        """Apply *node*'s transfer rule.
-
-        *dirty* is the delta kernel's per-object dirty map (``None`` means
-        a full revisit): only the memory hooks consume it — the top-level
-        rules are cheap enough that re-running them fully is the faster
-        option under CPython.
-        """
+    def _process(self, node: SVFGNode) -> None:
+        """Apply *node*'s transfer rule."""
         if isinstance(node, InstNode):
             inst = node.inst
             if isinstance(inst, AllocInst):
@@ -685,16 +517,16 @@ class StagedSolverBase:
             elif isinstance(inst, FieldInst):
                 self._process_field(inst)
             elif isinstance(inst, LoadInst):
-                self._process_load(node, inst, dirty)
+                self._process_load(node, inst)
             elif isinstance(inst, StoreInst):
-                self._process_store(node, inst, dirty)
+                self._process_store(node, inst)
             elif isinstance(inst, CallInst):
                 self._process_call(node, inst)
             elif isinstance(inst, RetInst):
                 self._process_ret(node, inst)
             # other instructions (binop/cmp/br/funentry) are pointer-neutral
         else:
-            self._process_mem_node(node, dirty)
+            self._process_mem_node(node)
 
     def _process_field(self, inst: FieldInst) -> None:
         base_mask = self.value_mask(inst.base)
@@ -759,16 +591,13 @@ class StagedSolverBase:
 
     # ------------------------------------------------------------- mem hooks
 
-    def _process_load(self, node: InstNode, inst: LoadInst,
-                      dirty: Optional[Dict[int, int]] = None) -> None:
+    def _process_load(self, node: InstNode, inst: LoadInst) -> None:
         raise NotImplementedError
 
-    def _process_store(self, node: InstNode, inst: StoreInst,
-                       dirty: Optional[Dict[int, int]] = None) -> None:
+    def _process_store(self, node: InstNode, inst: StoreInst) -> None:
         raise NotImplementedError
 
-    def _process_mem_node(self, node: SVFGNode,
-                          dirty: Optional[Dict[int, int]] = None) -> None:
+    def _process_mem_node(self, node: SVFGNode) -> None:
         raise NotImplementedError
 
     def _on_new_call_edge(self, call: CallInst, callee: Function, touched: List[int]) -> None:
@@ -780,39 +609,16 @@ class StagedSolverBase:
 
     # --------------------------------------------------------------- helpers
 
-    def _union_counters(self) -> Tuple[int, int]:
-        """This solve's cumulative union-cache (hits, misses): any
-        pre-resume baseline plus the shared repo's growth since this
-        solver was constructed."""
-        base_hits, base_misses = self._union_baseline
-        if self.ptrepo is None:
-            return base_hits, base_misses
-        hits0, misses0 = self._repo_counter_base
-        return (base_hits + self.ptrepo.union_hits - hits0,
-                base_misses + self.ptrepo.union_misses - misses0)
+    def _finish_footprint(self, masks) -> None:
+        """Fill storage stats from every stored table mask.
 
-    def _batch_counters(self) -> Tuple[int, int]:
-        """This solve's cumulative batch-memo (hits, misses)."""
-        base_hits, base_misses = self._batch_baseline
-        if self.batch is None:
-            return base_hits, base_misses
-        hits0, misses0 = self._batch_counter_base
-        return (base_hits + self.batch.hits - hits0,
-                base_misses + self.batch.misses - misses0)
-
-    def _finish_footprint(self, entries) -> None:
-        """Fill storage stats from every stored table entry (id or mask).
-
-        ``stored_ptsets`` counts referenced non-empty sets, ``unique_*``
-        their exact deduplication (what a repo physically keeps), and the
-        union-cache counters come from the repo when one is attached.
+        ``stored_ptsets`` counts referenced non-empty sets and
+        ``unique_*`` the distinct ones among them.
         """
-        entry_mask = self._entry_mask
         sets = 0
         bits = 0
         seen: Set[int] = set()
-        for entry in entries:
-            mask = entry_mask(entry)
+        for mask in masks:
             if mask:
                 sets += 1
                 bits += count_bits(mask)
@@ -821,22 +627,6 @@ class StagedSolverBase:
         self.stats.stored_ptset_bits = bits
         self.stats.unique_ptsets = len(seen)
         self.stats.unique_ptset_bits = sum(count_bits(mask) for mask in seen)
-        if self.ptrepo is not None:
-            stats = self.stats
-            stats.union_cache_hits, stats.union_cache_misses = \
-                self._union_counters()
-            stats.batch_memo_hits, stats.batch_memo_misses = \
-                self._batch_counters()
-            repo = self.ptrepo
-            stats.interner_entries = repo.size
-            stats.union_cache_entries = repo.union_cache_size
-            stats.batch_cache_entries = (self.batch.entries
-                                         if self.batch is not None else 0)
-            stats.dedup_resident_bytes = repo.content_bytes()
-            arena = self.mde.arena if self.mde is not None else None
-            if arena is not None:
-                stats.arena_masks = len(arena)
-                stats.arena_resident_bytes = arena.resident_bytes
 
     def strong_update_target(self, ptr_mask: int) -> Optional[int]:
         """If a store through *ptr_mask* may strong-update, the object id.

@@ -1,15 +1,15 @@
 """Content-addressed on-disk store for completed analysis results.
 
 Keying is structural, never positional: an entry's name is
-``sha256(ir_hash | analysis | delta | ptrepo)`` where ``ir_hash`` is the
-SHA-256 of the module's printed IR (:func:`ir_fingerprint`).  Asking for the
-same program under the same solver and ablation configuration therefore hits
-the cache; recompiling an *edited* program changes the IR hash and misses —
-stale answers cannot be served.
+``sha256(ir_hash | analysis)`` where ``ir_hash`` is the SHA-256 of the
+module's printed IR (:func:`ir_fingerprint`).  Asking for the same
+program under the same solver therefore hits the cache; recompiling an
+*edited* program changes the IR hash and misses — stale answers cannot
+be served.
 
 Entries are sealed documents (:mod:`repro.store.atomic`): every read
 re-verifies the checksum, the artifact kind, the schema version, and the
-recorded IR hash/configuration.  Anything that fails verification is moved
+recorded IR hash/analysis.  Anything that fails verification is moved
 to quarantine (``*.quarantined``) and reported as a typed
 :class:`~repro.errors.CheckpointError` — the store never silently returns
 damaged or mismatched data, and a damaged entry can never be loaded twice.
@@ -134,17 +134,9 @@ class ResultStore:
     def entry_path(self, key: str) -> str:
         return os.path.join(self.directory, f"result-{key}.json")
 
-    @property
-    def arena_path(self) -> str:
-        """Where this store keeps the shared mask arena (see
-        :class:`~repro.datastructs.arena.PTArena`).  Deliberately not part
-        of :func:`result_key`: the arena is a pure intern cache and never
-        changes what a solve computes."""
-        return os.path.join(self.directory, "arena.bin")
-
     # ---------------------------------------------------------------- writing
 
-    def put(self, module: Module, analysis: str, delta: bool, ptrepo: bool,
+    def put(self, module: Module, analysis: str,
             result: Union[FlowSensitiveResult, AndersenResult],
             ir_hash: Optional[str] = None, faults: Any = None) -> str:
         """Persist *result* under its content key; returns the entry path.
@@ -158,14 +150,12 @@ class ResultStore:
         if faults is not None:
             faults.fire("result_store_put", stage=f"store:{analysis}")
         ir_hash = ir_hash or ir_fingerprint(module)
-        key = result_key(ir_hash, analysis, delta, ptrepo)
+        key = result_key(ir_hash, analysis)
         path = self.entry_path(key)
         meta = {
             "ir_hash": ir_hash,
             "fp_scheme": FINGERPRINT_SCHEME,
             "analysis": analysis,
-            "delta": bool(delta),
-            "ptrepo": bool(ptrepo),
         }
         write_sealed_json(path, self.KIND, STORE_SCHEMA, meta,
                           encode_result(result))
@@ -174,18 +164,17 @@ class ResultStore:
 
     # ---------------------------------------------------------------- reading
 
-    def get(self, module: Module, analysis: str, delta: bool, ptrepo: bool,
-            ir_hash: Optional[str] = None
+    def get(self, module: Module, analysis: str, ir_hash: Optional[str] = None
             ) -> Optional[Union[FlowSensitiveResult, AndersenResult]]:
-        """Load the entry for this configuration, fully verified.
+        """Load the entry for this program and analysis, fully verified.
 
         Returns ``None`` on a clean miss.  A present-but-untrustworthy
         entry (corrupt bytes, bad checksum, recorded for a different
-        program or configuration, undecodable payload) is quarantined and
+        program or analysis, undecodable payload) is quarantined and
         reported as :class:`CheckpointError`.
         """
         ir_hash = ir_hash or ir_fingerprint(module)
-        key = result_key(ir_hash, analysis, delta, ptrepo)
+        key = result_key(ir_hash, analysis)
         path = self.entry_path(key)
         if not os.path.exists(path):
             self.misses += 1
@@ -202,13 +191,10 @@ class ResultStore:
                     "entry was recorded for a different program "
                     f"(IR hash {meta.get('ir_hash')!r})",
                     reason="ir-mismatch", path=path)
-            if (meta.get("analysis") != analysis
-                    or bool(meta.get("delta")) != bool(delta)
-                    or bool(meta.get("ptrepo")) != bool(ptrepo)):
+            if meta.get("analysis") != analysis:
                 raise CheckpointError(
-                    "entry was recorded for a different solver/ablation "
-                    f"configuration ({meta.get('analysis')}, "
-                    f"delta={meta.get('delta')}, ptrepo={meta.get('ptrepo')})",
+                    f"entry was recorded for analysis "
+                    f"{meta.get('analysis')!r}, not {analysis!r}",
                     reason="config-mismatch", path=path)
             try:
                 result = decode_result(module, payload)

@@ -11,10 +11,12 @@ import os
 
 import pytest
 
+from repro.datastructs.ptrepo import PTRepo
 from repro.errors import BudgetExceeded, CheckpointError
 from repro.frontend import compile_c
 from repro.pipeline import analyze
 from repro.runtime import Budget, CheckpointConfig, load_checkpoint
+from repro.store.atomic import read_sealed_json, write_sealed_json
 
 # Indirect calls (OTF edges), loads/stores through globals, and heap
 # allocation keep every solver feature on the resume path.
@@ -32,33 +34,20 @@ PROGRAM = """
     }
 """
 
-ABLATIONS = {
-    "default": (True, True),
-    "no-delta": (False, True),
-    "no-ptrepo": (True, False),
-    "neither": (False, False),
-}
-
 MATRIX = [
-    (analysis, ablation, kill_at)
-    for analysis in ("sfs", "vsfs")
-    for ablation in ABLATIONS
+    (analysis, kill_at)
+    for analysis in ("sfs", "vsfs", "ander", "icfg-fs")
     for kill_at in (3, 11)
-] + [
-    ("ander", "default", 3),
-    ("ander", "default", 11),
-    ("icfg-fs", "default", 3),
-    ("icfg-fs", "default", 11),
 ]
 
 
-def _interrupt(tmp_path, analysis, delta, ptrepo, kill_at):
+def _interrupt(tmp_path, analysis, kill_at):
     """Budget-kill a run at *kill_at* steps; returns the checkpoint path."""
     config = CheckpointConfig(str(tmp_path), every_steps=2)
     with pytest.raises(BudgetExceeded) as exc:
         analyze(compile_c(PROGRAM), analysis=analysis,
                 budget=Budget(max_steps=kill_at), fallback=False,
-                checkpoint=config, delta=delta, ptrepo=ptrepo)
+                checkpoint=config)
     path = exc.value.checkpoint_path
     assert path is not None and os.path.exists(path)
     report = exc.value.run_report
@@ -68,17 +57,13 @@ def _interrupt(tmp_path, analysis, delta, ptrepo, kill_at):
 
 
 class TestKillResumeMatrix:
-    @pytest.mark.parametrize("analysis,ablation,kill_at", MATRIX,
+    @pytest.mark.parametrize("analysis,kill_at", MATRIX,
                              ids=lambda p: str(p))
-    def test_resume_is_bit_identical(self, tmp_path, analysis, ablation,
-                                     kill_at):
-        delta, ptrepo = ABLATIONS[ablation]
-        clean = analyze(compile_c(PROGRAM), analysis=analysis,
-                        delta=delta, ptrepo=ptrepo)
-        config, __ = _interrupt(tmp_path, analysis, delta, ptrepo, kill_at)
+    def test_resume_is_bit_identical(self, tmp_path, analysis, kill_at):
+        clean = analyze(compile_c(PROGRAM), analysis=analysis)
+        config, __ = _interrupt(tmp_path, analysis, kill_at)
         resumed = analyze(compile_c(PROGRAM), analysis=analysis,
-                          checkpoint=config, resume_from=True,
-                          delta=delta, ptrepo=ptrepo)
+                          checkpoint=config, resume_from=True)
         assert resumed.report.resumed
         assert resumed.report.resumed_from_step is not None
         assert resumed.snapshot() == clean.snapshot()
@@ -88,7 +73,7 @@ class TestKillResumeMatrix:
 
     def test_resume_via_explicit_path(self, tmp_path):
         clean = analyze(compile_c(PROGRAM), analysis="vsfs")
-        __, path = _interrupt(tmp_path, "vsfs", True, True, 5)
+        __, path = _interrupt(tmp_path, "vsfs", 5)
         resumed = analyze(compile_c(PROGRAM), analysis="vsfs",
                           resume_from=path)
         assert resumed.report.resumed
@@ -105,7 +90,7 @@ class TestKillResumeMatrix:
     def test_repeated_interrupts_chain(self, tmp_path):
         """Kill, resume-and-kill again, then finish: still bit-identical."""
         clean = analyze(compile_c(PROGRAM), analysis="vsfs")
-        config, __ = _interrupt(tmp_path, "vsfs", True, True, 3)
+        config, __ = _interrupt(tmp_path, "vsfs", 3)
         with pytest.raises(BudgetExceeded):
             analyze(compile_c(PROGRAM), analysis="vsfs", checkpoint=config,
                     resume_from=True, budget=Budget(max_steps=4),
@@ -124,27 +109,50 @@ class TestRejection:
         assert exc.value.reason == "missing"
 
     def test_edited_program_rejected(self, tmp_path):
-        __, path = _interrupt(tmp_path, "vsfs", True, True, 5)
+        __, path = _interrupt(tmp_path, "vsfs", 5)
         edited = PROGRAM.replace("g = a", "g = b")
         with pytest.raises(CheckpointError) as exc:
             analyze(compile_c(edited), analysis="vsfs", resume_from=path)
         assert exc.value.reason == "ir-mismatch"
 
-    def test_wrong_ablation_rejected(self, tmp_path):
-        __, path = _interrupt(tmp_path, "vsfs", True, True, 5)
+    @pytest.mark.parametrize("analysis", ["sfs", "vsfs"])
+    def test_schema2_repo_ids_never_read_as_masks(self, tmp_path, analysis):
+        """A schema-2 checkpoint stored PTRepo ids plus the repo table.
+        Its ids read as raw masks would resume a wrong state, so it is
+        rejected as a schema mismatch and quarantined."""
+        __, path = _interrupt(tmp_path, analysis, 5)
+        meta, payload = read_sealed_json(path, "checkpoint", 3)
+        repo = PTRepo()
+
+        def to_id(text):
+            return format(repo.intern(int(text, 16)), "x")
+
+        mem = payload["mem"]
+        if analysis == "vsfs":
+            mem["ptv"] = {oid: [to_id(text) for text in table]
+                          for oid, table in mem["ptv"].items()}
+        else:
+            for side in ("in", "out"):
+                mem[side] = {nid: {oid: to_id(text)
+                                   for oid, text in table.items()}
+                             for nid, table in mem[side].items()}
+        mem["repo"] = repo.snapshot()
+        write_sealed_json(path, "checkpoint", 2,
+                          dict(meta, delta=True, ptrepo=True), payload)
         with pytest.raises(CheckpointError) as exc:
-            analyze(compile_c(PROGRAM), analysis="vsfs", resume_from=path,
-                    delta=False)
-        assert exc.value.reason == "config-mismatch"
+            analyze(compile_c(PROGRAM), analysis=analysis, resume_from=path)
+        assert exc.value.reason == "schema"
+        assert not os.path.exists(path)
+        assert exc.value.path is not None and os.path.exists(exc.value.path)
 
     def test_wrong_ladder_rejected(self, tmp_path):
-        __, path = _interrupt(tmp_path, "icfg-fs", True, True, 5)
+        __, path = _interrupt(tmp_path, "icfg-fs", 5)
         with pytest.raises(CheckpointError) as exc:
             analyze(compile_c(PROGRAM), analysis="sfs", resume_from=path)
         assert exc.value.reason == "config-mismatch"
 
     def test_corrupt_checkpoint_raises_typed_error(self, tmp_path):
-        __, path = _interrupt(tmp_path, "vsfs", True, True, 5)
+        __, path = _interrupt(tmp_path, "vsfs", 5)
         with open(path, "r+b") as handle:
             handle.seek(200)
             handle.write(b"\x00\x00\x00")
@@ -155,7 +163,7 @@ class TestRejection:
         assert not os.path.exists(path)
 
     def test_truncated_checkpoint_raises_typed_error(self, tmp_path):
-        config, path = _interrupt(tmp_path, "vsfs", True, True, 5)
+        config, path = _interrupt(tmp_path, "vsfs", 5)
         size = os.path.getsize(path)
         with open(path, "r+b") as handle:
             handle.truncate(size // 2)
@@ -166,7 +174,7 @@ class TestRejection:
 
     def test_corruption_never_degrades(self, tmp_path):
         """A bad checkpoint must surface even with fallback enabled."""
-        __, path = _interrupt(tmp_path, "vsfs", True, True, 5)
+        __, path = _interrupt(tmp_path, "vsfs", 5)
         with open(path, "w") as handle:
             handle.write("garbage")
         with pytest.raises(CheckpointError):
@@ -176,10 +184,9 @@ class TestRejection:
 
 class TestCheckpointManifest:
     def test_manifest_records_run_identity(self, tmp_path):
-        __, path = _interrupt(tmp_path, "vsfs", True, True, 5)
+        __, path = _interrupt(tmp_path, "vsfs", 5)
         meta, payload = load_checkpoint(path)
         assert meta["analysis"] == "vsfs"
-        assert meta["delta"] is True and meta["ptrepo"] is True
         assert meta["reason"] == "budget"
         assert isinstance(meta["step"], int) and meta["step"] >= 0
         assert isinstance(payload, dict) and "worklist" in payload

@@ -148,19 +148,19 @@ def test_small_workload_sfs_within_icfg():
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_optimisation_matrix_preserves_precision(name):
-    """Delta kernel and points-to repository are result-invisible: all four
-    (delta × ptrepo) configurations of both staged solvers agree bit for
-    bit with the eager full-mask baseline."""
+    """Versioning and sharded solving are result-invisible: serial VSFS
+    and both staged solvers on two parallel workers agree bit for bit
+    with serial SFS."""
     module = compile_c(SCENARIOS[name])
     pipeline = AnalysisPipeline(module)
-    baseline = masks(module, pipeline.sfs(delta=False, ptrepo=False))
-    for runner in (pipeline.sfs, pipeline.vsfs):
-        for delta in (False, True):
-            for ptrepo in (False, True):
-                result = runner(delta=delta, ptrepo=ptrepo)
-                assert masks(module, result) == baseline, (
-                    f"{runner.__name__}(delta={delta}, ptrepo={ptrepo}) diverged"
-                )
+    baseline = masks(module, pipeline.sfs())
+    runs = {
+        "vsfs": pipeline.vsfs(),
+        "sfs_par": pipeline.sfs_par(jobs=2, mode="inline"),
+        "vsfs_par": pipeline.vsfs_par(jobs=2, mode="inline"),
+    }
+    for label, result in runs.items():
+        assert masks(module, result) == baseline, f"{label} diverged"
 
 
 def test_callgraphs_agree_between_sfs_and_vsfs():

@@ -55,17 +55,6 @@ class TestParallelEquivalence:
         assert_identical(result, serial_vsfs)
         assert result.parallel.jobs == jobs
 
-    def test_eager_kernel_matches_serial(self, pipeline):
-        serial = pipeline.sfs(delta=False)
-        result = pipeline.sfs_par(jobs=2, delta=False)
-        assert_identical(result, serial)
-
-    def test_no_ptrepo_matches_serial(self, pipeline, serial_sfs):
-        # The frontier codec never ships raw sets even when deduplicated
-        # storage is ablated away inside the solver.
-        result = pipeline.sfs_par(jobs=2, ptrepo=False)
-        assert result._pt == serial_sfs._pt
-
     def test_fork_transport_matches_inline(self, pipeline, serial_sfs):
         from repro.parallel.driver import fork_available
 

@@ -112,7 +112,7 @@ class TestTables:
     def test_table3_shows_dedup_stats(self):
         result = run_suite_program("du")
         table3 = format_table3([result])
-        assert "SFS uniq/ref" in table3 and "U-cache hit" in table3
+        assert "SFS uniq/ref" in table3 and "VSFS uniq/ref" in table3
         stats = result.sfs.stats
         assert f"{stats.unique_ptsets}/{stats.stored_ptsets}" in table3
 
@@ -134,22 +134,9 @@ class TestJSONExport:
             assert stats["wall_time_s"] > 0
             assert stats["propagations"] > 0
             assert stats["unions"] > 0
-            assert stats["delta_kernel"] is True and stats["ptrepo_enabled"] is True
-            # The repository's whole point: far fewer unique sets than
-            # references to them, almost all unions served from a memo —
-            # the batch memo intercepts repeat (entry, delta) applications
-            # before they ever reach the pairwise union cache, so the two
-            # layers are judged together.
+            # Far fewer distinct sets than references to them.
             assert 0 < stats["unique_ptsets"] < stats["stored_ptsets"]
             assert stats["dedup_ratio"] > 1.0
-            memo_hits = stats["union_cache_hits"] + stats["batch_memo_hits"]
-            memo_calls = (memo_hits + stats["union_cache_misses"]
-                          + stats["batch_memo_misses"])
-            assert memo_calls > 0 and memo_hits / memo_calls > 0.5
-            assert stats["mde_batch"] is True
-            assert stats["batch_memo_hits"] > 0
-            assert stats["interner_entries"] > 0
-            assert stats["dedup_resident_bytes"] > 0
         assert record["ratios"]["propagation_ratio"] > 1.0
         # One untraced timing solve and one traced memory solve per
         # analysis, labelled apart; the shared substrate is in neither.

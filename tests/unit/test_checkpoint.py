@@ -120,7 +120,7 @@ class TestSealedEnvelope:
 
 
 class TestCheckpointer:
-    CONFIG = dict(ir_hash="abc123", analysis="vsfs", delta=True, ptrepo=True)
+    CONFIG = dict(ir_hash="abc123", analysis="vsfs")
 
     def _checkpointer(self, tmp_path, **overrides):
         config = CheckpointConfig(str(tmp_path), every_steps=10)
@@ -155,9 +155,8 @@ class TestCheckpointer:
         assert find_checkpoint(str(tmp_path), **self.CONFIG) is None
         ck.save(FakeSolver({}), step=1)
         assert find_checkpoint(str(tmp_path), **self.CONFIG) == ck.path
-        # A different config maps to a different file.
-        assert find_checkpoint(str(tmp_path), "abc123", "vsfs",
-                               delta=False, ptrepo=True) is None
+        # A different analysis maps to a different file.
+        assert find_checkpoint(str(tmp_path), "abc123", "sfs") is None
 
     def test_discard(self, tmp_path):
         ck = self._checkpointer(tmp_path)
@@ -170,20 +169,15 @@ class TestCheckpointer:
         ck = self._checkpointer(tmp_path)
         path = ck.save(FakeSolver({}), step=1)
         with pytest.raises(CheckpointError) as exc:
-            load_checkpoint(path, ir_hash="different", analysis="vsfs",
-                            delta=True, ptrepo=True)
+            load_checkpoint(path, ir_hash="different", analysis="vsfs")
         assert exc.value.reason == "ir-mismatch"
 
     def test_config_mismatch(self, tmp_path):
         ck = self._checkpointer(tmp_path)
         path = ck.save(FakeSolver({}), step=1)
-        for kwargs in ({"analysis": "sfs"}, {"delta": False},
-                       {"ptrepo": False}):
-            expect = dict(self.CONFIG)
-            expect.update(kwargs)
-            with pytest.raises(CheckpointError) as exc:
-                load_checkpoint(path, **expect)
-            assert exc.value.reason == "config-mismatch"
+        with pytest.raises(CheckpointError) as exc:
+            load_checkpoint(path, ir_hash="abc123", analysis="sfs")
+        assert exc.value.reason == "config-mismatch"
 
     def test_corrupt_checkpoint_is_quarantined(self, tmp_path):
         ck = self._checkpointer(tmp_path)
@@ -198,9 +192,9 @@ class TestCheckpointer:
         assert os.path.exists(exc.value.path)
 
     def test_deterministic_paths(self, tmp_path):
-        first = checkpoint_path(str(tmp_path), "h", "vsfs", True, True)
-        second = checkpoint_path(str(tmp_path), "h", "vsfs", True, True)
-        other = checkpoint_path(str(tmp_path), "h", "sfs", True, True)
+        first = checkpoint_path(str(tmp_path), "h", "vsfs")
+        second = checkpoint_path(str(tmp_path), "h", "vsfs")
+        other = checkpoint_path(str(tmp_path), "h", "sfs")
         assert first == second != other
 
     def test_schema_constant_in_envelope(self, tmp_path):

@@ -66,22 +66,22 @@ class TestFingerprints:
         for name in ("prepare", "andersen", "modref", "memssa", "svfg"):
             assert one.fingerprint(name) != two.fingerprint(name)
 
-    def test_solve_fingerprint_varies_with_ablation_flags(self):
+    def test_parallel_solve_fingerprint_varies_with_jobs(self):
         engine = make_engine()
         engine.ensure("svfg")
-        stage = engine.stages["solve:vsfs"]
-        base = engine._fingerprint_for(stage, engine.ctx)
-        ablated = engine._fingerprint_for(
-            stage, engine.ctx.for_solve(delta=False))
-        assert base != ablated
+        stage = engine.stages["solve:vsfs-par"]
+        two = engine._fingerprint_for(stage, engine.ctx.for_solve(jobs=2))
+        three = engine._fingerprint_for(stage, engine.ctx.for_solve(jobs=3))
+        assert two != three
 
-    def test_substrate_fingerprint_ignores_ablation_flags(self):
-        with_delta = make_engine()
-        without = Engine(StageContext(module=None, source=SRC,
-                                      language="c", delta=False))
-        with_delta.ensure("svfg")
-        without.ensure("svfg")
-        assert with_delta.fingerprint("svfg") == without.fingerprint("svfg")
+    def test_substrate_fingerprint_ignores_run_config(self):
+        serial = make_engine()
+        parallel = Engine(StageContext(module=None, source=SRC,
+                                       language="c", jobs=3,
+                                       parallel_mode="inline"))
+        serial.ensure("svfg")
+        parallel.ensure("svfg")
+        assert serial.fingerprint("svfg") == parallel.fingerprint("svfg")
 
 
 class TestSolve:

@@ -1,9 +1,6 @@
-"""Unit tests for the points-to repository and the delta worklist."""
-
-import pytest
+"""Unit tests for the points-to set interner (the frontier wire table)."""
 
 from repro.datastructs.ptrepo import EMPTY_ID, PTRepo
-from repro.datastructs.worklist import DeltaWorkList
 
 
 class TestPTRepo:
@@ -11,7 +8,7 @@ class TestPTRepo:
         repo = PTRepo()
         assert repo.intern(0) == EMPTY_ID == 0
         assert repo.mask(EMPTY_ID) == 0
-        # Entry truthiness must match mask truthiness (solvers rely on it).
+        # Id truthiness must match mask truthiness.
         assert not repo.intern(0) and repo.intern(0b1)
 
     def test_intern_dedups(self):
@@ -29,83 +26,3 @@ class TestPTRepo:
         ident = repo.intern(0b11)
         assert repo.get(0b11) == ident
         assert len(repo) == 1
-
-    def test_union_is_memoised(self):
-        repo = PTRepo()
-        a = repo.intern(0b0011)
-        b = repo.intern(0b0110)
-        u1 = repo.union(a, b)
-        u2 = repo.union(b, a)  # order-normalised key: same cache entry
-        assert u1 == u2
-        assert repo.mask(u1) == 0b0111
-        assert repo.union_calls == 2
-        assert repo.union_hits == 1 and repo.union_misses == 1
-
-    def test_union_short_circuits(self):
-        repo = PTRepo()
-        a = repo.intern(0b1)
-        assert repo.union(a, a) == a
-        assert repo.union(a, EMPTY_ID) == a
-        assert repo.union(EMPTY_ID, a) == a
-        assert repo.union_calls == 0  # trivial unions are not counted
-
-    def test_union_mask_merges_raw_bits(self):
-        repo = PTRepo()
-        a = repo.intern(0b001)
-        merged = repo.union_mask(a, 0b110)
-        assert repo.mask(merged) == 0b111
-        assert repo.union_mask(merged, 0) == merged
-
-    def test_hit_rate_and_total_bits(self):
-        repo = PTRepo()
-        a = repo.intern(0b0011)
-        b = repo.intern(0b1100)
-        repo.union(a, b)
-        repo.union(a, b)
-        assert repo.hit_rate() == pytest.approx(0.5)
-        assert repo.total_bits() == 2 + 2 + 4
-        assert repo.total_bits([a, a, b]) == 2 + 2 + 2
-
-
-class TestDeltaWorkList:
-    def test_push_delta_accumulates_dirty_bits(self):
-        wl = DeltaWorkList()
-        assert wl.push_delta(7, oid=1, delta=0b01)
-        assert not wl.push_delta(7, oid=1, delta=0b10)  # already queued
-        assert wl.push_delta(7, oid=2, delta=0b100) is False
-        assert len(wl) == 1
-        node, dirty = wl.pop_with_dirty()
-        assert node == 7
-        assert dirty == {1: 0b11, 2: 0b100}
-
-    def test_plain_push_means_full_revisit(self):
-        wl = DeltaWorkList()
-        wl.push(3)
-        node, dirty = wl.pop_with_dirty()
-        assert node == 3 and dirty is None
-
-    def test_full_push_subsumes_deltas(self):
-        wl = DeltaWorkList()
-        wl.push_delta(5, oid=0, delta=0b1)
-        wl.push(5)  # upgrade to full revisit
-        wl.push_delta(5, oid=1, delta=0b10)  # ignored: full pending
-        assert wl.pop_with_dirty() == (5, None)
-
-    def test_take_dirty_matches_pop(self):
-        wl = DeltaWorkList()
-        wl.push_delta(1, oid=4, delta=0b1)
-        wl.push(2)
-        assert wl.pop() == 1
-        assert wl.take_dirty(1) == {4: 0b1}
-        assert wl.pop() == 2
-        assert wl.take_dirty(2) is None
-
-    def test_fifo_order_and_dedup(self):
-        wl = DeltaWorkList()
-        wl.push_delta(1, 0, 0b1)
-        wl.push(2)
-        wl.push_delta(1, 0, 0b10)
-        order = []
-        while wl:
-            order.append(wl.pop_with_dirty())
-        assert order == [(1, {0: 0b11}), (2, None)]

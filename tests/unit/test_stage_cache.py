@@ -114,12 +114,12 @@ class TestInvalidation:
         assert cache.hits == 0
         assert cache.misses == len(CACHED_STAGES)
 
-    def test_ablation_flags_do_not_invalidate_substrate(self, tmp_path):
+    def test_run_config_does_not_invalidate_substrate(self, tmp_path):
         cold, _ = engine_with_cache(tmp_path)
         cold.ensure("versioning")
-        ablated, cache = engine_with_cache(tmp_path, delta=False,
-                                           ptrepo=False)
-        ablated.ensure("versioning")
+        parallel, cache = engine_with_cache(tmp_path, jobs=2,
+                                            parallel_mode="inline")
+        parallel.ensure("versioning")
         assert cache.hits == len(CACHED_STAGES)
 
 
