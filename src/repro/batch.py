@@ -81,10 +81,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                              "restores the fixed schedule)")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="programs analysed concurrently (default 1)")
-    parser.add_argument("--solve-jobs", type=int, default=1, metavar="N",
-                        help="sharded workers per solve (repro-wpa --jobs); "
-                             "resume-on-retry attempts drop to serial, as "
-                             "checkpoints are serial-only")
     parser.add_argument("--checkpoint-dir", metavar="DIR",
                         help="checkpoint root; each program gets its own "
                              "subdirectory, enabling resume-on-retry")
@@ -131,8 +127,6 @@ def _attempt_cmd(args: argparse.Namespace, file: str, ckdir: Optional[str],
         cmd += ["--budget-mb", str(args.budget_mb)]
     if args.max_steps is not None:
         cmd += ["--max-steps", str(args.max_steps)]
-    if args.solve_jobs > 1 and args.analysis in ("sfs", "vsfs") and not resume:
-        cmd += ["--jobs", str(args.solve_jobs)]
     if ckdir is not None:
         cmd += ["--checkpoint-dir", ckdir,
                 "--checkpoint-every", str(args.checkpoint_every)]
@@ -257,7 +251,6 @@ def batch_main(argv: Optional[List[str]] = None) -> int:
     failed = [r for r in records if r["status"] != "ok"]
     summary = {
         "analysis": args.analysis,
-        "solve_jobs": args.solve_jobs,
         "programs": len(records),
         "ok": len(records) - len(failed),
         "failed": len(failed),

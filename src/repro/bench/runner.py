@@ -116,40 +116,27 @@ class SuiteResult:
                 "stored_sets_ratio": self.stored_sets_ratio(),
             },
             "precision_identical": self.precision_identical(),
-            "parallel": self.parallel_runs or None,
             "stages": self.stages,
         }
 
     _identical: bool = field(default=True, repr=False)
-    #: Sharded-solve comparisons (``--jobs``): analysis -> list of
-    #: per-worker-count records with wall times, speedups, the driver's
-    #: :class:`~repro.parallel.driver.ParallelStats` (per-worker timings
-    #: included) and a bit-identity check against the serial result.
-    parallel_runs: Dict[str, List[Dict[str, object]]] = field(
-        default_factory=dict, repr=False)
     #: Per-stage wall/steps trace from the pipeline's engine (substrate
     #: stages carry ``main_phase: false`` — excluded from the timed main
     #: phase, matching Table III's protocol).  Records made by a measured
     #: run carry ``pass``: ``"time"`` (untraced) or ``"memory"``
     #: (allocation-traced); records made outside both passes (the shared
-    #: substrate, the ``--jobs`` comparisons) carry none.
+    #: substrate) carry none.
     stages: Optional[List[Dict[str, object]]] = field(default=None, repr=False)
 
 
 def run_suite_program(name: str, check_equivalence: bool = True,
-                      budget: Optional[Budget] = None,
-                      jobs: Sequence[int] = ()) -> SuiteResult:
+                      budget: Optional[Budget] = None) -> SuiteResult:
     """Build, analyse, and measure one suite benchmark.
 
     Every solver run is governed by the degradation ladder so each
     measurement carries a :class:`~repro.runtime.diagnostics.RunReport`;
     with *budget*, a run that exhausts it degrades to the (already
     computed) Andersen floor instead of failing the suite.
-
-    With *jobs* (e.g. ``(2, 4)``), each staged analysis is additionally
-    solved on that many sharded workers (:mod:`repro.parallel`) and the
-    parallel wall time, per-worker timings and bit-identity against the
-    serial result are recorded under ``parallel_runs``.
     """
     config = SUITE[name]
     module = suite_program(name)
@@ -229,32 +216,6 @@ def run_suite_program(name: str, check_equivalence: bool = True,
         vsfs_pt = vsfs_solver_holder["result"]._pt
         result._identical = sfs_pt == vsfs_pt
 
-    for label in ("sfs", "vsfs") if jobs else ():
-        serial = (sfs_solver_holder if label == "sfs"
-                  else vsfs_solver_holder).get("result")
-        method = pipeline.sfs_par if label == "sfs" else pipeline.vsfs_par
-        # Serial main phase = solve_time (+ versioning for VSFS, which the
-        # parallel driver folds into its wall via the shared snapshot).
-        serial_wall = (serial.stats.solve_time if serial is not None else 0.0)
-        if label == "vsfs" and serial is not None:
-            serial_wall += serial.stats.pre_time
-        runs: List[Dict[str, object]] = []
-        for n in jobs:
-            par = method(jobs=n)
-            pstats = par.parallel
-            runs.append({
-                "jobs": n,
-                "wall_s": round(pstats.wall_s, 6),
-                "serial_wall_s": round(serial_wall, 6),
-                "speedup": round(serial_wall / pstats.wall_s, 4)
-                if pstats.wall_s > 0 else 0.0,
-                "identical": (serial is not None
-                              and par._pt == serial._pt),
-                "solve_time_s": round(par.stats.solve_time, 6),
-                "parallel": pstats.to_dict(),
-            })
-        result.parallel_runs[label] = runs
-
     result.stages = pipeline.trace.to_dict()
     for index, name in passes.items():
         result.stages[index]["pass"] = name
@@ -275,8 +236,7 @@ def write_results_json(results: List[SuiteResult], path: str) -> None:
     payload = {
         "suite": [res.to_dict() for res in results],
         "programs": [res.name for res in results],
-        #: Parallel speedups are bounded by the host: on one CPU the only
-        #: win is the staged sweep's work reduction (see DESIGN.md §10).
+        #: The host the timings were taken on.
         "cpus": os.cpu_count(),
     }
     atomic_write_json(path, payload)
@@ -309,11 +269,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="per-run traced-memory budget")
     parser.add_argument("--max-steps", type=int, metavar="N",
                         help="per-run solver step budget")
-    parser.add_argument("--jobs", default=None, metavar="N[,N...]",
-                        help="additionally solve each program on these "
-                             "sharded worker counts (e.g. 2,4) and record "
-                             "parallel-vs-serial walls, per-worker timings "
-                             "and bit-identity in the JSON output")
     args = parser.parse_args(argv)
 
     if args.json in SUITE:
@@ -339,26 +294,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         max_steps=args.max_steps,
                         max_memory_bytes=max_memory)
 
-    jobs: List[int] = []
-    if args.jobs:
-        try:
-            jobs = sorted({max(1, int(part))
-                           for part in args.jobs.split(",") if part.strip()})
-        except ValueError:
-            parser.error(f"--jobs wants worker counts like 2,4; "
-                         f"got {args.jobs!r}")
-
-    results = [run_suite_program(name, budget=budget, jobs=jobs)
-               for name in names]
+    results = [run_suite_program(name, budget=budget) for name in names]
     print(format_table3(results))
-    for res in results:
-        for label, runs in res.parallel_runs.items():
-            for run in runs:
-                marker = "" if run["identical"] else "  RESULT MISMATCH"
-                print(f"parallel {res.name} {label} --jobs {run['jobs']}: "
-                      f"{run['wall_s']:.3f}s vs serial "
-                      f"{run['serial_wall_s']:.3f}s "
-                      f"({run['speedup']:.2f}x){marker}")
     degradations = [
         (res.name, meas.report)
         for res in results
@@ -370,16 +307,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.json is not None:
         write_results_json(results, args.json)
         print(f"wrote {args.json}")
-    parallel_ok = all(run["identical"]
-                      for res in results
-                      for runs in res.parallel_runs.values()
-                      for run in runs)
     if budget is not None:
         # Degraded runs legitimately differ in precision; the budgeted
         # suite succeeds as long as every program produced an answer.
-        return 0 if parallel_ok else 1
-    return 0 if (parallel_ok
-                 and all(res.precision_identical() for res in results)) else 1
+        return 0
+    return 0 if all(res.precision_identical() for res in results) else 1
 
 
 if __name__ == "__main__":

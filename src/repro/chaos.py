@@ -1,18 +1,15 @@
 """``repro-wpa chaos`` — seeded fault-injection soak harness.
 
 Proves the platform-wide resilience contract (DESIGN.md §12) the way a
-single targeted test cannot: for every configuration in ``{sfs, vsfs} ×
-{serial, --jobs N}`` it runs a fault-free baseline, then replays the
-same analysis under a deterministic schedule of injected faults — one
-seeded :class:`~repro.runtime.faults.FaultPlan` per run, cycling through
-every fault point applicable to the configuration.  Each faulted run
-must end in one of four **clean** outcomes:
+single targeted test cannot: for each analysis in ``{sfs, vsfs}`` it
+runs a fault-free baseline, then replays the same analysis under a
+deterministic schedule of injected faults — one seeded
+:class:`~repro.runtime.faults.FaultPlan` per run, cycling through every
+solver and I/O fault point.  Each faulted run must end in one of three
+**clean** outcomes:
 
 - ``identical`` — the fault was absorbed (self-healed or retried) and
   the points-to result is bit-identical to the baseline;
-- ``collapsed`` — a parallel rung spent its worker failure budget and
-  collapsed onto its serial twin: degraded execution, bit-identical
-  result (``precision_lost`` is False);
 - ``degraded`` — a solver-domain fault walked the precision ladder; the
   answer is a verified sound *superset* of the baseline;
 - ``typed-failure`` — fallback was disabled and the run died with a
@@ -26,13 +23,13 @@ bit-for-bit.
 
 Schedules interleave three trigger shapes per seed index: ``once``
 (fire on the first hit, then disarm — the heal-and-complete path),
-``repeat`` (fire on every hit — retry budgets exhaust, worker budgets
-spend, ladders walk), and ``no-fallback`` (solver faults with the
+``repeat`` (fire on every hit — retry budgets exhaust, ladders walk),
+and ``no-fallback`` (solver faults with the
 ladder disabled — the typed-failure path).
 
 The default program is the generated ``du`` suite workload — the
-smallest benchmark with real call/heap structure, known to shard across
-workers — so every fault point is actually reachable.
+smallest benchmark with real call/heap structure — so every fault point
+is actually reachable.
 
 ``--daemon`` soaks the always-on service (:mod:`repro.service`) instead
 of the batch pipeline: per (analysis, service fault point, seed) it
@@ -66,16 +63,9 @@ from typing import Dict, List, Optional, Tuple
 from repro.errors import InjectedFault, ReproError
 from repro.runtime.faults import FAULT_DOMAINS, fault_domain
 
-#: Points a serial configuration can reach (parallel transport excluded).
-SERIAL_POINTS: Tuple[str, ...] = (FAULT_DOMAINS["solver"]
+#: Points the batch soak targets (the solve and its on-disk substrate).
+BATCH_POINTS: Tuple[str, ...] = (FAULT_DOMAINS["solver"]
                                   + FAULT_DOMAINS["io"])
-
-#: Points a --jobs N configuration targets.  Parallel points first so
-#: small seed counts still cover the watchdog; solver points are owned
-#: by the serial configurations (worker processes run their own solve
-#: loops, out of reach of the driver-side plan).
-PARALLEL_POINTS: Tuple[str, ...] = (FAULT_DOMAINS["parallel"]
-                                    + FAULT_DOMAINS["io"])
 
 #: Points the ``--daemon`` soak targets (the service request path).
 SERVICE_POINTS: Tuple[str, ...] = FAULT_DOMAINS["service"]
@@ -89,14 +79,12 @@ _OFFSET_STRIDE = 3
 class ChaosRun:
     """One scheduled faulted run and (after execution) its verdict."""
 
-    def __init__(self, analysis: str, jobs: int, seed: int, point: str,
-                 trigger: str):
+    def __init__(self, analysis: str, seed: int, point: str, trigger: str):
         self.analysis = analysis
-        self.jobs = jobs
         self.seed = seed
         self.point = point
         self.trigger = trigger  # "once" | "repeat" | "no-fallback"
-        self.outcome = ""  # identical|collapsed|degraded|typed-failure|garbage
+        self.outcome = ""  # identical|degraded|typed-failure|garbage
         self.detail = ""
         self.fired = 0
         self.heals = 0
@@ -106,20 +94,15 @@ class ChaosRun:
     def domain(self) -> str:
         return fault_domain(self.point)
 
-    @property
-    def config(self) -> str:
-        return f"{self.analysis}/j{self.jobs}"
-
     def describe(self) -> str:
         verdict = self.outcome or "pending"
         extra = f" ({self.detail})" if self.detail else ""
-        return (f"{self.config} seed={self.seed} {self.point} "
+        return (f"{self.analysis} seed={self.seed} {self.point} "
                 f"[{self.trigger}] -> {verdict}{extra}")
 
     def to_dict(self) -> Dict[str, object]:
         return {
             "analysis": self.analysis,
-            "jobs": self.jobs,
             "seed": self.seed,
             "point": self.point,
             "domain": self.domain,
@@ -138,7 +121,7 @@ def _trigger_for(index: int, point: str) -> str:
     Every fourth seed repeat-fires (budget exhaustion paths); every
     fourth, offset by one, disables fallback — but only for solver
     points, whose contract under ``fallback=False`` is a typed raise
-    (io/parallel faults are absorbed regardless of fallback).
+    (io faults are absorbed regardless of fallback).
     """
     if index % 4 == 2:
         return "repeat"
@@ -147,17 +130,15 @@ def _trigger_for(index: int, point: str) -> str:
     return "once"
 
 
-def build_schedule(analyses: List[str], jobs_list: List[int], seeds: int,
+def build_schedule(analyses: List[str], seeds: int,
                    seed_base: int) -> List[ChaosRun]:
     """The full deterministic run matrix, in execution order."""
     runs: List[ChaosRun] = []
-    configs = [(analysis, jobs) for jobs in jobs_list for analysis in analyses]
-    for config_index, (analysis, jobs) in enumerate(configs):
-        points = PARALLEL_POINTS if jobs > 1 else SERIAL_POINTS
+    for config_index, analysis in enumerate(analyses):
         offset = config_index * _OFFSET_STRIDE
         for index in range(seeds):
-            point = points[(index + offset) % len(points)]
-            runs.append(ChaosRun(analysis, jobs, seed_base + index, point,
+            point = BATCH_POINTS[(index + offset) % len(BATCH_POINTS)]
+            runs.append(ChaosRun(analysis, seed_base + index, point,
                                  _trigger_for(index, point)))
     return runs
 
@@ -203,19 +184,18 @@ def _resilient_put(store, pipeline, analysis: str, result, plan) -> None:
                             error=type(exc).__name__))
 
 
-def _solve(source: str, analysis: str, jobs: int, mode: Optional[str],
-           workdir: str, plan=None, fallback: bool = True):
+def _solve(source: str, analysis: str, workdir: str, plan=None,
+           fallback: bool = True):
     """One governed run in *workdir*; returns (result, pipeline, store)."""
     from repro.runtime.checkpoint import CheckpointConfig
     from repro.runtime.degrade import solve_with_ladder
 
     pipeline, store = _build_pipeline(source, workdir, plan)
-    ladder = analysis + "-par" if jobs > 1 else analysis
     checkpoint = CheckpointConfig(os.path.join(workdir, "checkpoints"),
                                   every_steps=25)
-    result = solve_with_ladder(pipeline, analysis=ladder, fallback=fallback,
-                               faults=plan, checkpoint=checkpoint,
-                               jobs=jobs, parallel_mode=mode)
+    result = solve_with_ladder(pipeline, analysis=analysis,
+                               fallback=fallback, faults=plan,
+                               checkpoint=checkpoint)
     _resilient_put(store, pipeline, analysis, result, plan)
     return result, pipeline, store
 
@@ -236,8 +216,8 @@ def _sound_superset(baseline: List[int], masks: List[int]) -> bool:
     return all(base & ~mask == 0 for base, mask in zip(baseline, masks))
 
 
-def execute_run(run: ChaosRun, source: str, mode: Optional[str],
-                config_dir: str, baseline_masks: List[int]) -> None:
+def execute_run(run: ChaosRun, source: str, config_dir: str,
+                baseline_masks: List[int]) -> None:
     """Execute one scheduled run and stamp its verdict on *run*."""
     plan = _make_plan(run)
     workdir = config_dir
@@ -246,8 +226,8 @@ def execute_run(run: ChaosRun, source: str, mode: Optional[str],
         # keeps the shared warm store warm for the remaining seeds.
         workdir = tempfile.mkdtemp(prefix="cold-", dir=config_dir)
     try:
-        result, pipeline, _ = _solve(source, run.analysis, run.jobs, mode,
-                                     workdir, plan=plan,
+        result, pipeline, _ = _solve(source, run.analysis, workdir,
+                                     plan=plan,
                                      fallback=run.trigger != "no-fallback")
     except ReproError as exc:
         run.outcome = "typed-failure"
@@ -261,7 +241,7 @@ def execute_run(run: ChaosRun, source: str, mode: Optional[str],
         run.degraded_from = report.degraded_from
         masks = list(result._pt)
         if masks == baseline_masks and not report.precision_lost:
-            run.outcome = "collapsed" if report.degraded else "identical"
+            run.outcome = "identical"
         elif report.precision_lost and _sound_superset(baseline_masks, masks):
             run.outcome = "degraded"
             run.detail = f"to {report.precision_level}"
@@ -274,14 +254,13 @@ def execute_run(run: ChaosRun, source: str, mode: Optional[str],
         run.detail = "not-reached"
 
 
-def _baseline(source: str, analysis: str, jobs: int, mode: Optional[str],
-              workdir: str) -> List[int]:
+def _baseline(source: str, analysis: str, workdir: str) -> List[int]:
     """Fault-free reference masks; also warms the store for the seeds."""
-    result, _, _ = _solve(source, analysis, jobs, mode, workdir)
+    result, _, _ = _solve(source, analysis, workdir)
     report = result.report
     if report.degraded or report.self_heal:
         raise ReproError(
-            f"chaos baseline for {analysis}/j{jobs} was not clean: "
+            f"chaos baseline for {analysis} was not clean: "
             f"{report.summary()} ({len(report.self_heal)} heals)")
     return list(result._pt)
 
@@ -625,12 +604,6 @@ def chaos_main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--analyses", default="sfs,vsfs", metavar="LIST",
                         help="comma-separated staged analyses "
                              "(default sfs,vsfs)")
-    parser.add_argument("--jobs", default="1,2", metavar="LIST",
-                        help="comma-separated worker counts; 1 = serial "
-                             "(default 1,2)")
-    parser.add_argument("--parallel-mode", choices=("fork", "inline"),
-                        help="parallel transport override (default: the "
-                             "driver's choice)")
     parser.add_argument("--program", metavar="FILE",
                         help="mini-C source to soak (default: the "
                              "generated 'du' suite workload)")
@@ -661,19 +634,11 @@ def chaos_main(argv: Optional[List[str]] = None) -> int:
         else:
             daemon_source = "" if args.list else _default_source()
         return _daemon_soak(args, analyses, daemon_source)
-    try:
-        jobs_list = sorted({max(1, int(j)) for j in args.jobs.split(",") if j})
-    except ValueError:
-        print(f"repro-wpa chaos: error: --jobs wants integers, got "
-              f"{args.jobs!r}", file=sys.stderr)
-        return 1
-
-    runs = build_schedule(analyses, jobs_list, max(1, args.seeds),
-                          args.seed_base)
+    runs = build_schedule(analyses, max(1, args.seeds), args.seed_base)
     if args.list:
         print(f"--- chaos schedule: {len(runs)} runs ---")
         for run in runs:
-            print(f"  {run.config:<9} seed={run.seed:<3} "
+            print(f"  {run.analysis:<9} seed={run.seed:<3} "
                   f"{run.point:<18} [{run.trigger}]")
         return 0
 
@@ -687,45 +652,38 @@ def chaos_main(argv: Optional[List[str]] = None) -> int:
     else:
         source = _default_source()
 
-    configs = [(analysis, jobs) for jobs in jobs_list for analysis in analyses]
-    print(f"--- chaos soak: {len(configs)} configs x {args.seeds} seeds "
+    print(f"--- chaos soak: {len(analyses)} configs x {args.seeds} seeds "
           f"= {len(runs)} runs ---")
     with tempfile.TemporaryDirectory(prefix="repro-chaos-") as root:
-        for analysis, jobs in configs:
-            config_dir = os.path.join(root, f"{analysis}-j{jobs}")
+        for analysis in analyses:
+            config_dir = os.path.join(root, analysis)
             os.makedirs(config_dir, exist_ok=True)
             try:
-                baseline = _baseline(source, analysis, jobs,
-                                     args.parallel_mode, config_dir)
+                baseline = _baseline(source, analysis, config_dir)
             except ReproError as err:
                 print(f"repro-wpa chaos: error: {err}", file=sys.stderr)
                 return 3
-            config_runs = [r for r in runs
-                           if r.analysis == analysis and r.jobs == jobs]
-            for run in config_runs:
-                execute_run(run, source, args.parallel_mode, config_dir,
-                            baseline)
-                print(f"  {run.describe()}")
+            for run in runs:
+                if run.analysis == analysis:
+                    execute_run(run, source, config_dir, baseline)
+                    print(f"  {run.describe()}")
 
-    return _report(runs, jobs_list, args)
+    return _report(runs, args)
 
 
-def _report(runs: List[ChaosRun], jobs_list: List[int],
-            args: argparse.Namespace) -> int:
+def _report(runs: List[ChaosRun], args: argparse.Namespace) -> int:
     counts: Dict[str, int] = {}
     for run in runs:
         counts[run.outcome] = counts.get(run.outcome, 0) + 1
     garbage = [run for run in runs if run.outcome == "garbage"]
 
-    applicable = set(SERIAL_POINTS if 1 in jobs_list else ())
-    if any(jobs > 1 for jobs in jobs_list):
-        applicable.update(PARALLEL_POINTS)
+    applicable = set(BATCH_POINTS)
     exercised = {run.point for run in runs if run.fired}
     missing = sorted(applicable - exercised)
 
     summary = ", ".join(f"{kind}: {counts[kind]}" for kind in
-                        ("identical", "collapsed", "degraded",
-                         "typed-failure", "garbage") if kind in counts)
+                        ("identical", "degraded", "typed-failure",
+                         "garbage") if kind in counts)
     print(f"outcomes: {summary}")
     print(f"coverage: {len(exercised)}/{len(applicable)} applicable fault "
           f"points fired" + (f" (missing: {', '.join(missing)})"

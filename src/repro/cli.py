@@ -35,16 +35,12 @@ fault points by domain.
 
 Resilience: corrupt store/cache entries are quarantined and the answer
 recomputed (a warning, not a failure) unless ``--strict-io`` restores
-the fail-fast contract.  A parallel rung that collapses onto its serial
-twin reports ``degraded_from`` but keeps full precision, so the result
-is still stored and the message is a notice, not a warning.
+the fail-fast contract.
 
 Exit codes: 0 success, 1 I/O error, 2 parse/IR error, 3 analysis error
 (including an exhausted budget under ``--no-fallback``, and — under
-``--strict-io`` — any rejected or corrupt checkpoint/store artifact),
-4 parallel worker-crash budget spent under ``--no-fallback`` (with
-fallback the run collapses onto the serial twin instead).  The full
-table lives in README.md §Exit codes.
+``--strict-io`` — any rejected or corrupt checkpoint/store artifact).
+The full table lives in README.md §Exit codes.
 """
 
 from __future__ import annotations
@@ -59,7 +55,6 @@ from repro.errors import (
     IRError,
     ParseError,
     ReproError,
-    WorkerCrash,
 )
 
 #: CLI exit codes (documented in README.md §Exit codes).  ``batch``
@@ -69,7 +64,6 @@ EXIT_OK = 0
 EXIT_IO = 1
 EXIT_INPUT = 2
 EXIT_ANALYSIS = 3
-EXIT_WORKER_CRASH = 4
 from repro.pipeline import AnalysisPipeline, _load_resume_state
 from repro.runtime.budget import Budget
 from repro.runtime.checkpoint import CheckpointConfig
@@ -145,14 +139,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                              "on completion; also enables the stage cache "
                              "(DIR/stages) so repeat runs skip unchanged "
                              "substrate stages")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="solve -fspta/-vfspta on N sharded workers "
-                             "(repro.parallel); results are bit-identical "
-                             "to the serial solve")
-    parser.add_argument("--parallel-mode", choices=("fork", "inline"),
-                        help="parallel transport override (default: fork "
-                             "when available on a multicore host, else "
-                             "in-process workers)")
     parser.add_argument("--check-null", action="store_true",
                         help="report dereferences through possibly-null pointers")
     parser.add_argument("--dead-stores", action="store_true",
@@ -223,10 +209,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(report.render(), file=sys.stderr)
         if isinstance(err, (ParseError, IRError)):
             return EXIT_INPUT
-        if isinstance(err, WorkerCrash):
-            # Distinguishable from analysis errors so supervisors can
-            # react (e.g. retry serially) without parsing stderr.
-            return EXIT_WORKER_CRASH
         return EXIT_ANALYSIS
 
 
@@ -252,24 +234,6 @@ def _run(args: argparse.Namespace, source: str) -> int:
         source, language="ir" if args.ir else "c", cache=cache,
         strict_cache=args.strict_io)
     module = pipeline.module
-
-    # --jobs routes the staged analyses through the sharded parallel
-    # stages.  The result store stays keyed by the serial analysis name:
-    # the parallel solve is bit-identical, so serial and parallel runs
-    # share cache entries.
-    jobs = max(1, args.jobs)
-    ladder_analysis = args.analysis
-    if jobs > 1:
-        if args.analysis not in ("sfs", "vsfs"):
-            print("repro-wpa: warning: --jobs applies to -fspta/-vfspta "
-                  "only; running serially", file=sys.stderr)
-            jobs = 1
-        elif args.resume is not None:
-            print("repro-wpa: warning: --resume is serial-only; ignoring "
-                  "--jobs", file=sys.stderr)
-            jobs = 1
-        else:
-            ladder_analysis = args.analysis + "-par"
 
     if store is not None:
         # Build (or stage-cache-load) the substrate first: warm runs then
@@ -352,25 +316,18 @@ def _run(args: argparse.Namespace, source: str) -> int:
 
     result = solve_with_ladder(
         pipeline,
-        analysis=ladder_analysis,
+        analysis=args.analysis,
         budget=_budget_from(args),
         fallback=not args.no_fallback,
         checkpoint=checkpoint,
         resume_state=resume_state,
         resume_meta=resume_meta,
-        jobs=jobs,
-        parallel_mode=args.parallel_mode,
         warm_plan=warm_plan,
         capture_regions=incr_store is not None,
     )
     run_report = result.report
     if run_report.precision_lost:
         print(f"repro-wpa: warning: {run_report.summary()}", file=sys.stderr)
-    elif run_report.degraded:
-        # A parallel rung collapsed onto its serial twin: bit-identical
-        # result at full precision, so a notice rather than a warning.
-        print(f"repro-wpa: notice: {run_report.summary()} "
-              f"(bit-identical serial result)", file=sys.stderr)
     if run_report.resumed:
         print(f"repro-wpa: resumed from step {run_report.resumed_from_step}",
               file=sys.stderr)
@@ -454,16 +411,6 @@ def _print_result(args: argparse.Namespace, result, run_report) -> None:
               f"stored points-to sets: {stats.stored_ptsets}")
         print(f"[{label}] strong updates: {stats.strong_updates}, "
               f"call edges: {stats.callgraph_edges}")
-        parallel = getattr(result, "parallel", None)
-        if parallel is not None:
-            per_worker = ", ".join(
-                f"w{w['worker']}: {w['pops']} pops/{w['solve_s']:.3f}s"
-                for w in parallel.workers)
-            print(f"[{label}] parallel: {parallel.jobs} workers "
-                  f"({parallel.mode}), {parallel.shards} shards over "
-                  f"{parallel.components} SCCs, {parallel.rounds} rounds, "
-                  f"{parallel.frontier_entries} frontier entries")
-            print(f"[{label}] per-worker: {per_worker}")
 
 
 def _write_report_json(path: str, run_report, store_hit: bool = False,

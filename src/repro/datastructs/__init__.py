@@ -11,8 +11,6 @@ chosen for speed under CPython:
 - :class:`~repro.datastructs.worklist.WorkList` /
   :class:`~repro.datastructs.worklist.PriorityWorkList` drive the fixed-point
   solvers.
-- :class:`~repro.datastructs.ptrepo.PTRepo` interns points-to masks to dense
-  ids; the parallel solver ships sets between workers as those ids.
 - :class:`~repro.datastructs.unionfind.UnionFind` backs constraint-graph cycle
   collapsing in Andersen's analysis.
 - :class:`~repro.datastructs.graph.DiGraph` is a small adjacency-list digraph
@@ -23,7 +21,6 @@ chosen for speed under CPython:
 from repro.datastructs.bitset import BitSet, bits_of, count_bits, iter_bits
 from repro.datastructs.graph import DiGraph, strongly_connected_components, topological_order
 from repro.datastructs.interning import Interner
-from repro.datastructs.ptrepo import EMPTY_ID, PTRepo
 from repro.datastructs.unionfind import UnionFind
 from repro.datastructs.worklist import FIFOWorkList, PriorityWorkList, WorkList
 
@@ -36,8 +33,6 @@ __all__ = [
     "strongly_connected_components",
     "topological_order",
     "Interner",
-    "EMPTY_ID",
-    "PTRepo",
     "UnionFind",
     "FIFOWorkList",
     "PriorityWorkList",

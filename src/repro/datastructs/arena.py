@@ -6,8 +6,7 @@ it together with that probe (EXPERIMENTS.md E10 records why the
 deduplication stack it belonged to was removed).
 
 A flat byte region holding every distinct points-to mask a repository
-has interned, one record per :class:`~repro.datastructs.ptrepo.PTRepo`
-id.  It offered:
+had interned, one record per dense interning id.  It offered:
 
 - **read-shared attachment** — fork workers :meth:`attach` the region
   read-only through ``mmap``, so the mask bytes live in shared physical

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Callable, Deque, Generic, Iterable, List, Set, TypeVar
+from typing import Callable, Deque, Dict, Generic, Iterable, List, Set, TypeVar
 
 T = TypeVar("T")
 
@@ -102,17 +102,23 @@ class FIFOWorkList(Generic[T]):
 
 
 class PriorityWorkList(Generic[T]):
-    """Priority worklist popping the item with the smallest key first.
+    """Priority worklist popping the item with the smallest int key first.
 
-    Processing SVFG nodes in (reverse) topological order of the constraint
-    graph reduces redundant propagation; the solvers use node ids assigned in
-    a topological-ish order as priorities.
+    Equal keys pop in push order (FIFO), so the order is deterministic.
+    Items wait in one FIFO bucket per key, and a heap holds the keys whose
+    bucket is non-empty: the heap compares plain ints, and a pop that
+    leaves its bucket non-empty does not touch the heap at all.
+
+    SFS keys SVFG node ids by the topological index of their SCC
+    (:func:`repro.svfg.order.topological_rank`), draining the graph as a
+    staged topological sweep.
     """
 
-    __slots__ = ("_heap", "_member", "_key")
+    __slots__ = ("_buckets", "_keys", "_member", "_key")
 
     def __init__(self, key: Callable[[T], int], items: Iterable[T] = ()):
-        self._heap: List[tuple] = []
+        self._buckets: Dict[int, Deque[T]] = {}
+        self._keys: List[int] = []  # heap of the keys with queued items
         self._member: Set[T] = set()
         self._key = key
         for item in items:
@@ -122,7 +128,12 @@ class PriorityWorkList(Generic[T]):
         if item in self._member:
             return False
         self._member.add(item)
-        heapq.heappush(self._heap, (self._key(item), id(item), item))
+        key = self._key(item)
+        bucket = self._buckets.get(key)
+        if bucket is None:
+            bucket = self._buckets[key] = deque()
+            heapq.heappush(self._keys, key)
+        bucket.append(item)
         return True
 
     def extend(self, items: Iterable[T]) -> None:
@@ -130,7 +141,12 @@ class PriorityWorkList(Generic[T]):
             self.push(item)
 
     def pop(self) -> T:
-        __, __, item = heapq.heappop(self._heap)
+        key = self._keys[0]
+        bucket = self._buckets[key]
+        item = bucket.popleft()
+        if not bucket:
+            heapq.heappop(self._keys)
+            del self._buckets[key]
         self._member.discard(item)
         return item
 
@@ -138,7 +154,23 @@ class PriorityWorkList(Generic[T]):
         return item in self._member
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return len(self._member)
 
     def __bool__(self) -> bool:
-        return bool(self._heap)
+        return bool(self._member)
+
+    # ----------------------------------------------------------- persistence
+
+    def snapshot(self) -> dict:
+        """Queued items in pop order (items must be JSON-safe, e.g. ints)."""
+        return {"items": [item for key in sorted(self._buckets)
+                          for item in self._buckets[key]]}
+
+    def restore(self, state: dict) -> None:
+        """Reload :meth:`snapshot` output into this (empty) worklist.
+
+        Re-pushing in pop order keeps the pop order: within a key, the
+        restored items queue ahead of anything pushed later.
+        """
+        for item in state["items"]:
+            self.push(item)

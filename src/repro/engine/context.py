@@ -29,11 +29,6 @@ class StageContext:
     module: Optional[Any] = None  # pre-built, already-prepared Module
     source: Optional[str] = None
     language: str = "c"
-    # ---- parallel solving (repro.parallel) ----
-    #: Worker count for the solve:*-par stages (1 = serial stages only).
-    jobs: int = 1
-    #: Transport override for parallel stages ("fork"/"inline"; None = auto).
-    parallel_mode: Optional[str] = None
     # ---- resource governance (repro.runtime) ----
     meter: Optional[Any] = None  # BudgetMeter
     faults: Optional[Any] = None  # FaultPlan

@@ -194,8 +194,6 @@ class Engine:
     def prime_substrate(self, analysis: str) -> None:
         """Build everything the paper excludes from *analysis*'s main phase
         (hits the stage cache on warm runs)."""
-        if analysis.endswith("-par"):
-            analysis = analysis[: -len("-par")]
         if analysis in ("sfs", "vsfs"):
             self.ensure("svfg")
             if analysis == "vsfs":
@@ -208,8 +206,6 @@ class Engine:
     def solve(self, level: str, meter: Any = None, faults: Any = None,
               checkpointer: Any = None,
               resume_state: Any = None, resume_step: int = 0,
-              jobs: Optional[int] = None,
-              parallel_mode: Optional[str] = None,
               warm_plan: Any = None,
               capture_regions: Optional[bool] = None) -> Any:
         """Run one solve rung; substrate is ensured (untimed) first.
@@ -236,9 +232,6 @@ class Engine:
             for dep in stage.inputs:
                 self.ensure(dep)
         rung = ctx.for_solve(
-            jobs=ctx.jobs if jobs is None else max(1, int(jobs)),
-            parallel_mode=(ctx.parallel_mode if parallel_mode is None
-                           else parallel_mode),
             meter=meter, faults=faults, checkpointer=checkpointer,
             resume_state=resume_state, resume_step=resume_step,
             warm_plan=warm_plan if warm_plan is not None else ctx.warm_plan,
@@ -258,14 +251,6 @@ class Engine:
             raise
         if level == "andersen":
             ctx.artifacts["andersen"] = result
-        pstats = getattr(result, "parallel", None)
-        if pstats is not None and getattr(pstats, "revivals", 0):
-            ctx.bus.emit(heal_event(
-                name, "parallel", "revive",
-                revivals=getattr(pstats, "revivals", 0),
-                worker_failures=getattr(pstats, "worker_failures", 0) or None,
-                heartbeat_timeouts=(
-                    getattr(pstats, "heartbeat_timeouts", 0) or None)))
         detail: Optional[Dict[str, Any]] = None
         incr = getattr(result, "incremental", None)
         if incr is not None:

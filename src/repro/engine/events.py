@@ -19,8 +19,8 @@ from typing import Callable, Dict, List, Optional
 
 #: Event kinds, in the order a single stage execution can emit them.
 #: ``self_heal`` may appear anywhere: it records a fault that was
-#: absorbed (quarantine-and-recompute, retry-and-skip, revive, collapse)
-#: instead of surfacing — the degraded-not-dead audit trail.
+#: absorbed (quarantine-and-recompute, retry-and-skip) instead of
+#: surfacing — the degraded-not-dead audit trail.
 EVENT_KINDS = ("stage_start", "cache_hit", "artifact_bytes", "self_heal",
                "stage_end")
 
@@ -55,7 +55,7 @@ def heal_event(stage: str, domain: str, action: str,
     """Build a ``self_heal`` event: *domain* (fault domain the incident
     belongs to), *action* (what the healer did: ``recompute``,
     ``rebuilt``, ``skip-write``, ``skip-flush``, ``detached``,
-    ``revive``, ``retry``), plus free-form detail."""
+    ``retry``), plus free-form detail."""
     payload: Dict[str, object] = {"domain": domain, "action": action}
     payload.update({key: value for key, value in detail.items()
                     if value is not None})

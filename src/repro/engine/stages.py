@@ -355,66 +355,8 @@ class SolveStage(Stage):
         return processed - getattr(stats, "resumed_steps", 0)
 
 
-class ParallelSolveStage(SolveStage):
-    """Sharded multiprocessing solve (:mod:`repro.parallel`).
-
-    ``solve:sfs-par`` / ``solve:vsfs-par`` run the corresponding staged
-    kernel on ``ctx.jobs`` workers over an SCC-condensed partition of the
-    SVFG.  The result is bit-identical to the serial rung's (the solvers
-    are confluent; DESIGN.md §10), so the worker count is a *run*
-    configuration, not an analysis change — which is why these stages
-    share the serial rung's result identity and only the trace and the
-    attached ``result.parallel`` stats differ.
-    """
-
-    def __init__(self, level: str):
-        self.level = level
-        self.base_level = level[: -len("-par")]
-        self.name = f"solve:{level}"
-        self.inputs = ("svfg",)
-
-    def config_token(self, ctx: Any) -> str:
-        return f"jobs={ctx.jobs},mode={ctx.parallel_mode}"
-
-    def run(self, ctx: Any) -> Any:
-        from repro.parallel.driver import solve_parallel
-
-        plan = ctx.warm_plan
-        if plan is not None and getattr(plan, "usable", False) \
-                and getattr(plan, "analysis", None) == self.base_level:
-            # A warm re-solve retracts/reseeds from a stored solution; a
-            # sharded run would have to split that preload across worker
-            # partitions.  Collapse to the serial kernel — result-
-            # identical by confluence (DESIGN.md §10) — and keep the
-            # warm savings instead of the parallel speedup.
-            from repro.engine.events import heal_event
-
-            ctx.bus.emit(heal_event(self.name, "parallel", "collapse",
-                                    reason="warm-start", jobs=ctx.jobs))
-            return SolveStage(self.base_level).run(ctx)
-        if ctx.resume_state is not None:
-            raise AnalysisError(
-                "parallel solve stages cannot resume a serial checkpoint; "
-                "rerun serially (--jobs 1) to resume")
-        budget = ctx.meter.budget if ctx.meter is not None else None
-        result = solve_parallel(
-            ctx.artifacts["svfg"], self.base_level, ctx.jobs,
-            budget=budget, faults=ctx.faults,
-            versioning=ctx.artifacts.get("versioning"),
-            mode=ctx.parallel_mode)
-        if ctx.meter is not None:
-            # The workers metered themselves (per-worker budgets); reflect
-            # their pops into the governing meter so ladder reports and
-            # stage step totals add up.
-            ctx.meter.steps += result.stats.nodes_processed
-        return result
-
-
 #: Solve levels the engine can run (= degradation-ladder rungs).
 SOLVE_LEVELS = ("andersen", "sfs", "vsfs", "icfg-fs")
-
-#: Parallel variants of the staged solvers (result-identical to serial).
-PARALLEL_SOLVE_LEVELS = ("sfs-par", "vsfs-par")
 
 
 def default_stages() -> Dict[str, Stage]:
@@ -426,8 +368,5 @@ def default_stages() -> Dict[str, Stage]:
         stages[stage.name] = stage
     for level in SOLVE_LEVELS:
         solve = SolveStage(level)
-        stages[solve.name] = solve
-    for level in PARALLEL_SOLVE_LEVELS:
-        solve = ParallelSolveStage(level)
         stages[solve.name] = solve
     return stages

@@ -178,36 +178,13 @@ class DeadlineExceeded(ServiceError):
         super().__init__(message)
 
 
-class WorkerCrash(SolverError):
-    """A parallel worker slot spent its failure budget.
-
-    The driver's watchdog kills and revives workers that die, hang past
-    the heartbeat timeout, or lose a frontier exchange; each incident
-    charges that worker's failure budget.  When the budget is spent the
-    driver aborts the parallel rung with this error so the degradation
-    ladder collapses onto the serial twin (``sfs-par → sfs``,
-    ``vsfs-par → vsfs``) — same precision, bit-identical results, tagged
-    ``degraded_from`` in the run report.
-    """
-
-    def __init__(self, message: str, worker: int = -1, failures: int = 0,
-                 incident: str = ""):
-        self.worker = worker
-        self.failures = failures
-        #: What spent the last budget unit: "died", "hung", "spawn",
-        #: "frontier-send", "frontier-recv".
-        self.incident = incident
-        self.run_report = None  # filled by the degradation ladder on re-raise
-        super().__init__(message)
-
-
 class InjectedFault(SolverError):
     """A deterministic fault fired by :mod:`repro.runtime.faults`.
 
     Carries full stage context so tests can prove that faults never escape
     as untyped exceptions: ``point`` is the instrumented trigger point
     (one of :data:`repro.runtime.faults.FAULT_POINTS` — solver, I/O and
-    parallel domains), ``stage`` the analysis it fired inside, and
+    service domains), ``stage`` the analysis it fired inside, and
     ``hit`` the 1-based count of times that point had been reached.
     """
 

@@ -18,7 +18,7 @@ governance & degradation ladder".
   solver state (:class:`CheckpointConfig` / :class:`Checkpointer`);
 - :mod:`repro.runtime.resilience` — the self-healing layer's shared
   :class:`RetryPolicy` (capped backoff, deterministic seeded jitter) and
-  watchdog defaults (DESIGN.md §12).
+  the service worker pool's failure budget (DESIGN.md §12).
 """
 
 from repro.runtime.budget import Budget, BudgetMeter
@@ -44,7 +44,6 @@ from repro.runtime.faults import (
     fault_domain,
 )
 from repro.runtime.resilience import (
-    DEFAULT_HEARTBEAT_SECONDS,
     DEFAULT_WORKER_FAILURE_BUDGET,
     IO_RETRY,
     RetryPolicy,
@@ -66,7 +65,6 @@ __all__ = [
     "RetryPolicy",
     "IO_RETRY",
     "DEFAULT_WORKER_FAILURE_BUDGET",
-    "DEFAULT_HEARTBEAT_SECONDS",
     "RunReport",
     "Attempt",
     "LADDERS",

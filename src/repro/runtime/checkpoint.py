@@ -47,7 +47,7 @@ __all__ = [
 #: 2: keys derive from the per-function fingerprint scheme
 #: (:data:`repro.ir.fingerprint.FINGERPRINT_SCHEME`); manifests carry
 #: ``fp_scheme`` so pre-refactor checkpoints are rejected, not resumed.
-#: 3: memory tables hold raw masks; the PTRepo interning table is gone,
+#: 3: memory tables hold raw masks; the interned-set table is gone,
 #: so a schema-2 payload's repo ids must never be read as masks.
 CHECKPOINT_SCHEMA = 3
 

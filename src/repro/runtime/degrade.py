@@ -29,7 +29,7 @@ for diagnostics.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.analysis.andersen import AndersenResult
 from repro.datastructs.bitset import count_bits
@@ -40,15 +40,10 @@ from repro.runtime.diagnostics import RunReport
 from repro.solvers.base import FlowSensitiveResult, SolverStats
 from repro.store.codec import ir_fingerprint
 
-#: Ladder per requested analysis, most precise first.  The parallel
-#: variants degrade to their serial twin first (same precision, simpler
-#: execution) before dropping precision — a worker blowing its budget
-#: falls back to one process before falling back to Andersen.
+#: Ladder per requested analysis, most precise first.
 LADDERS = {
     "vsfs": ("vsfs", "sfs", "andersen"),
     "sfs": ("sfs", "andersen"),
-    "vsfs-par": ("vsfs-par", "vsfs", "sfs", "andersen"),
-    "sfs-par": ("sfs-par", "sfs", "andersen"),
     "icfg-fs": ("icfg-fs", "andersen"),
     "ander": ("andersen",),
 }
@@ -132,7 +127,6 @@ def solve_with_ladder(pipeline, analysis: str = "vsfs",
                       faults=None,
                       checkpoint: Optional[CheckpointConfig] = None,
                       resume_state=None, resume_meta=None,
-                      jobs: int = 1, parallel_mode: Optional[str] = None,
                       warm_plan=None, capture_regions: bool = False):
     """Run *analysis* on *pipeline* under the degradation ladder.
 
@@ -187,22 +181,12 @@ def solve_with_ladder(pipeline, analysis: str = "vsfs",
         # The warm plan applies only to the rung it was planned for —
         # a degraded rung solves a *different* analysis, whose stored
         # solution (if any) lives in its own slot.
-        base = level[: -len("-par")] if level.endswith("-par") else level
         if warm_plan is not None \
-                and getattr(warm_plan, "analysis", None) == base:
+                and getattr(warm_plan, "analysis", None) == level:
             return warm_plan
         return None
 
     def make_rung(level: str) -> Rung:
-        if level.endswith("-par"):
-            # Parallel rungs do their own sealing/revival in memory;
-            # cross-run checkpoints and resume stay serial-only.
-            base = level[: -len("-par")]
-            return level, lambda meter: (
-                pipeline.sfs_par if base == "sfs" else pipeline.vsfs_par)(
-                    jobs=jobs, meter=meter, faults=faults, mode=parallel_mode,
-                    warm_plan=plan_for(level),
-                    capture_regions=capture_regions)
         ck = checkpointer_for(level)
         state = resume_state if level == resume_level else None
         if level == "vsfs":

@@ -128,16 +128,10 @@ class RunReport:
 
     @property
     def precision_lost(self) -> bool:
-        """True when degradation cost precision, not just parallelism.
-
-        A parallel rung collapsing onto its serial twin (``sfs-par →
-        sfs``) is degradation without precision loss — the results are
-        bit-identical — so result stores and warnings key off this, not
-        :attr:`degraded`.
-        """
-        if not self.degraded:
-            return False
-        return self.degraded_from != self.precision_level + "-par"
+        """True when degradation cost precision: every ladder rung below
+        the requested one is strictly less precise, so this is
+        :attr:`degraded`; result stores and warnings key off it."""
+        return self.degraded
 
     @property
     def self_heal(self) -> List[Dict[str, object]]:

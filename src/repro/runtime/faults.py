@@ -9,8 +9,6 @@ into **fault domains**:
   (``pre_meld``, ``otf_edge``, ``propagate``);
 - ``io`` — the on-disk substrate: stage-cache read/write, checkpoint
   write, result-store put;
-- ``parallel`` — the sharded driver's transport: frontier send/recv,
-  worker spawn, worker heartbeat;
 - ``service`` — the always-on daemon's request path (:mod:`repro.service`):
   request decode, queue admission, worker execution, warm-cache attach.
 
@@ -22,9 +20,7 @@ so two plans with the same seed fire identically).  Firing raises
 point, stage and hit count.  What happens next depends on the domain:
 solver faults surface to the degradation ladder exactly like a real
 internal failure; ``io`` faults are absorbed by the self-healing wrappers
-(recompute, retry, or skip — the run completes); ``parallel`` faults are
-absorbed by the driver's watchdog (kill-and-revive, then collapse onto
-the serial rung once the failure budget is spent); ``service`` faults
+(recompute, retry, or skip — the run completes); ``service`` faults
 are absorbed by the daemon's admission control (typed shed/error
 responses, worker revival, cache-less sessions — the daemon stays up).
 The chaos harness (``repro-wpa chaos``) soaks the batch table under
@@ -43,8 +39,6 @@ FAULT_DOMAINS: Dict[str, Tuple[str, ...]] = {
     "solver": ("pre_meld", "otf_edge", "propagate"),
     "io": ("stage_cache_read", "stage_cache_write", "checkpoint_write",
            "result_store_put"),
-    "parallel": ("worker_spawn", "worker_heartbeat",
-                 "frontier_send", "frontier_recv"),
     "service": ("request_decode", "queue_admit", "worker_exec",
                 "cache_attach"),
 }
@@ -68,15 +62,6 @@ FAULT_DESCRIPTIONS: Dict[str, str] = {
                         "(heals: retry, then skip the save)",
     "result_store_put": "a completed result is about to enter the store "
                         "(heals: retry, then skip the put)",
-    "worker_spawn": "a parallel worker is about to be constructed "
-                    "(heals: respawn, counted against the failure budget)",
-    "worker_heartbeat": "the driver is about to wait on a worker's round "
-                        "reply (fires = the worker is treated as hung: "
-                        "kill-and-revive)",
-    "frontier_send": "a frontier batch delivery to a worker is starting "
-                     "(fires = the worker is lost: kill-and-revive)",
-    "frontier_recv": "a worker's round reply is being collected "
-                     "(fires = the reply is lost: kill-and-revive)",
     "request_decode": "a daemon request line/body is about to be decoded "
                       "(fires = typed error response, never a traceback "
                       "on the wire)",

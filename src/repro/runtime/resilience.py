@@ -117,12 +117,6 @@ class RetryPolicy:
 IO_RETRY = RetryPolicy(retries=2, base_delay=0.01, max_delay=0.1,
                        jitter=0.5, seed=0)
 
-#: Default per-worker failure budget of the parallel watchdog: how many
-#: times one worker slot may die/hang/lose a frontier exchange before the
-#: driver collapses the parallel rung onto the serial ladder.
+#: Default per-slot failure budget of the service's worker pool: how
+#: many incidents one worker slot may absorb before it is revived.
 DEFAULT_WORKER_FAILURE_BUDGET = 3
-
-#: Default heartbeat timeout (seconds) the watchdog allows a forked
-#: worker per round before treating it as hung.  In-process workers
-#: cannot hang independently, so the timeout applies to fork transport.
-DEFAULT_HEARTBEAT_SECONDS = 120.0

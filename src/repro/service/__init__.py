@@ -22,7 +22,7 @@ overload and crashes — so robustness is the architecture:
   behaves again.
 - **Supervised workers** (:mod:`repro.service.workers`): request
   execution on a heartbeat-monitored pool with kill-and-revive and
-  per-slot failure budgets, borrowed from the parallel watchdog.
+  per-slot failure budgets.
 - **Graceful drain + warm restart** (:mod:`repro.service.server`):
   SIGTERM finishes in-flight requests and sheds the queue with
   retry-after; every durable artifact lives in the content-addressed

@@ -1,8 +1,7 @@
 """Supervised execution: worker threads with failure budgets and revival.
 
-The daemon's twin of the parallel driver's watchdog
-(:mod:`repro.parallel.driver`): request execution happens on a pool of
-worker threads, each a *slot* with a failure budget
+Request execution happens on a pool of worker threads, each a *slot*
+with a failure budget
 (:data:`~repro.runtime.resilience.DEFAULT_WORKER_FAILURE_BUDGET`).  A
 supervisor thread heartbeat-scans the slots; incidents charge the slot's
 budget:
@@ -20,8 +19,8 @@ budget:
   (tickets resolve first-wins).
 
 A slot that spends its whole budget is revived (budget reset, incident
-logged) rather than collapsing the service — unlike the batch driver
-there is no serial twin to fall back onto; the daemon's floor is
+logged) rather than collapsing the service — there is no lower rung
+to fall back onto; the daemon's floor is
 "answer typed errors and keep serving".
 """
 

@@ -38,15 +38,7 @@ from repro.ir.instructions import (
 from repro.ir.module import Module
 from repro.ir.values import FunctionObject, MemObject, Variable
 from repro.svfg.builder import SVFG
-from repro.svfg.nodes import (
-    ActualINNode,
-    ActualOUTNode,
-    FormalINNode,
-    FormalOUTNode,
-    InstNode,
-    MemPhiNode,
-    SVFGNode,
-)
+from repro.svfg.nodes import InstNode, SVFGNode
 
 
 @dataclass
@@ -92,47 +84,6 @@ class SolverStats:
     batch_memo_misses: int = 0
     union_cache_hits: int = 0
     union_cache_misses: int = 0
-
-    #: Work counters that add across disjoint units of work (parallel
-    #: shard workers, independent programs).  Times sum to aggregate CPU
-    #: seconds; wall clock is the caller's to measure.
-    ADDITIVE_FIELDS = (
-        "solve_time", "pre_time", "nodes_processed", "propagations",
-        "unions", "strong_updates", "weak_updates", "stored_ptsets",
-        "stored_ptset_bits", "unique_ptsets", "unique_ptset_bits",
-        "indirect_calls_resolved", "resumed_steps",
-    )
-    #: Final-state gauges over structures the units may share (each
-    #: parallel worker converges on the same global call graph, and the
-    #: merged top-level table is the OR of the workers') — summing would
-    #: multiply shared state by the worker count, so a merge takes the
-    #: max and the driver overwrites them with globally recomputed values.
-    GAUGE_FIELDS = ("top_level_bits", "callgraph_edges")
-
-    @classmethod
-    def merge(cls, parts: "List[SolverStats]") -> "SolverStats":
-        """Fold per-worker (or per-program) stats into one aggregate.
-
-        Each input must describe a *disjoint* unit of work.  In
-        particular, never merge the attempts of one crashed-and-resumed
-        solve: a resumed attempt's counters already include everything
-        restored from the checkpoint, so the final attempt alone is the
-        whole logical solve (its own new work is :meth:`own_steps`).
-
-        ``unique_ptsets``/``unique_ptset_bits`` sum the per-unit dedup
-        counts; a set interned by two workers counts twice, so the sum is
-        an upper bound on the global unique count (the parallel driver
-        recomputes the exact global figure over the merged tables).
-        """
-        merged = cls()
-        if not parts:
-            return merged
-        merged.analysis = parts[0].analysis
-        for name in cls.ADDITIVE_FIELDS:
-            setattr(merged, name, sum(getattr(p, name) for p in parts))
-        for name in cls.GAUGE_FIELDS:
-            setattr(merged, name, max(getattr(p, name) for p in parts))
-        return merged
 
     def own_steps(self) -> int:
         """Pops performed by this attempt itself (excludes pops replayed
@@ -194,9 +145,10 @@ class FlowSensitiveResult:
 class StagedSolverBase:
     """Worklist solver over the SVFG; see module docstring.
 
-    One kernel: a FIFO worklist of node ids, tables of raw bit masks, and
+    One kernel: a worklist of node ids, tables of raw bit masks, and
     eager propagation — a popped node re-applies its whole transfer rule
-    and forwards whole masks to its successors.
+    and forwards whole masks to its successors.  The worklist is FIFO
+    unless a subclass picks another schedule (:meth:`_new_worklist`).
     """
 
     analysis_name = "base"
@@ -239,8 +191,9 @@ class StagedSolverBase:
         self._warm_plan = None
         self._steps_done = 0  # pops completed in earlier (resumed) runs
         self.stats = SolverStats(analysis=self.analysis_name)
-        # Worklist of SVFG node ids with O(1) dedup.
-        self.worklist: FIFOWorkList[int] = FIFOWorkList()
+        # Worklist of SVFG node ids with O(1) dedup; run() or
+        # restore_state() swaps in _new_worklist() before the first push.
+        self.worklist = FIFOWorkList()
         self._function_objects: Dict[int, Function] = {
             obj.id: obj.function
             for obj in self.module.objects
@@ -285,6 +238,7 @@ class StagedSolverBase:
                     self.faults.fire("pre_meld", self.analysis_name)
                 self._prepare()  # fills stats.pre_time (versioning, for VSFS)
                 start = time.perf_counter()
+                self.worklist = self._new_worklist()
                 if self._warm_plan is not None:
                     self._apply_warm(self._warm_plan)
                 else:
@@ -340,13 +294,17 @@ class StagedSolverBase:
     def _prepare(self) -> None:
         """Hook: pre-solve setup (VSFS runs versioning here)."""
 
+    def _new_worklist(self):
+        """Hook: the worklist a solve drains, made when it is seeded (cold
+        or warm) or restored, so its set-up cost counts as solve time."""
+        return FIFOWorkList()
+
     def _seed(self) -> None:
         """Seed the worklist with the rule-bearing instruction nodes.
 
         Memory nodes (MEMPHI, actual/formal IN/OUT) only act once
         points-to data reaches them, which pushes them again.  A resumed
-        run restores the mid-solve worklist instead of seeding.  Sharded
-        workers override this to seed only the nodes they own.
+        run restores the mid-solve worklist instead of seeding.
         """
         seed_types = self.SEED_TYPES
         for node in self.svfg.nodes:
@@ -452,6 +410,7 @@ class StagedSolverBase:
             self.pt = pt
             self._restore_pre(payload)
             self._restore_memory(payload["mem"])
+            self.worklist = self._new_worklist()
             self.worklist.restore(payload["worklist"])
             counters = payload["counters"]
             stats = self.stats
@@ -656,7 +615,7 @@ class StagedSolverBase:
         so their pass-through is safe from the first visit.  With this
         gate every transfer function's contribution is bounded by its
         value at the final fixpoint, making the solve confluent: any
-        fair schedule — FIFO, LIFO, or the sharded parallel one — reaches
-        the same least fixpoint bit for bit (DESIGN.md §10).
+        fair schedule — FIFO, LIFO, or the topological one SFS uses —
+        reaches the same least fixpoint bit for bit (DESIGN.md §10).
         """
         return not ptr_mask and self.module.objects[oid].is_singleton

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.analysis.andersen import AndersenResult
-from repro.analysis.modref import ModRefInfo
 from repro.datastructs.bitset import iter_bits
 from repro.errors import AnalysisError
 from repro.ir.function import Function
@@ -73,10 +72,6 @@ class SVFG:
         self.delta_nodes: Set[int] = set()
         self._connected: Set[Tuple[CallInst, Function]] = set()
         self._edge_set: Set[Tuple[int, int, int]] = set()  # (src, dst, oid)
-        #: Per-node shared-row flags of a ``copy(cow=True)`` graph (None on
-        #: ordinary graphs): 1 = the node's edge rows still alias the source
-        #: and must be cloned before the first mutation.
-        self._cow_rows: Optional[bytearray] = None
 
     # ------------------------------------------------------------ structure
 
@@ -89,32 +84,9 @@ class SVFG:
         self.ind_preds.append([])
         return node
 
-    def _own_node_rows(self, node_id: int) -> None:
-        """Clone *node_id*'s edge rows out of the shared substrate (only
-        meaningful on a ``copy(cow=True)`` graph)."""
-        self.direct_succs[node_id] = list(self.direct_succs[node_id])
-        self.direct_preds[node_id] = list(self.direct_preds[node_id])
-        self.ind_succs[node_id] = {oid: list(dsts)
-                                   for oid, dsts in self.ind_succs[node_id].items()}
-        self.ind_preds[node_id] = list(self.ind_preds[node_id])
-        self._cow_rows[node_id] = 0
-
-    def own_ind_row(self, node_id: int) -> Dict[int, List[int]]:
-        """The node's indirect-successor row, safe to mutate in place."""
-        cow = self._cow_rows
-        if cow is not None and cow[node_id]:
-            self._own_node_rows(node_id)
-        return self.ind_succs[node_id]
-
     def add_direct_edge(self, src: int, dst: int) -> bool:
         if dst in self.direct_succs[src]:
             return False
-        cow = self._cow_rows
-        if cow is not None:
-            if cow[src]:
-                self._own_node_rows(src)
-            if cow[dst]:
-                self._own_node_rows(dst)
         self.direct_succs[src].append(dst)
         self.direct_preds[dst].append(src)
         return True
@@ -123,12 +95,6 @@ class SVFG:
         key = (src, dst, oid)
         if key in self._edge_set:
             return False
-        cow = self._cow_rows
-        if cow is not None:
-            if cow[src]:
-                self._own_node_rows(src)
-            if cow[dst]:
-                self._own_node_rows(dst)
         self._edge_set.add(key)
         self.ind_succs[src].setdefault(oid, []).append(dst)
         self.ind_preds[dst].append((src, oid))
@@ -197,7 +163,7 @@ class SVFG:
 
     # ----------------------------------------------------------------- copy
 
-    def copy(self, *, cow: bool = False) -> "SVFG":
+    def copy(self) -> "SVFG":
         """A solver-private copy of this graph.
 
         The immutable build products (nodes, instruction/variable tables,
@@ -206,14 +172,6 @@ class SVFG:
         `add_indirect_edge` / `connect_callsite`) is duplicated, so
         solvers can mutate their copy without poisoning the shared
         substrate or each other.
-
-        With ``cow=True`` the per-node edge rows stay shared and are
-        cloned lazily on first mutation (copy-on-write).  OTF call-graph
-        resolution touches a tiny fraction of the rows, so a COW copy
-        costs O(nodes) pointer copies instead of duplicating every edge —
-        the difference between milliseconds and seconds on Table III
-        programs.  The source graph must stay immutable while COW copies
-        of it are live (mutating it would leak through shared rows).
         """
         dup = SVFG.__new__(SVFG)
         dup.module = self.module
@@ -228,19 +186,11 @@ class SVFG:
         dup.var_def_node = self.var_def_node
         dup.var_uses = self.var_uses
         dup.delta_nodes = self.delta_nodes
-        if cow:
-            dup.direct_succs = list(self.direct_succs)
-            dup.direct_preds = list(self.direct_preds)
-            dup.ind_succs = list(self.ind_succs)
-            dup.ind_preds = list(self.ind_preds)
-            dup._cow_rows = bytearray(b"\x01" * len(self.nodes))
-        else:
-            dup.direct_succs = [list(succs) for succs in self.direct_succs]
-            dup.direct_preds = [list(preds) for preds in self.direct_preds]
-            dup.ind_succs = [{oid: list(dsts) for oid, dsts in table.items()}
-                             for table in self.ind_succs]
-            dup.ind_preds = [list(preds) for preds in self.ind_preds]
-            dup._cow_rows = None
+        dup.direct_succs = [list(succs) for succs in self.direct_succs]
+        dup.direct_preds = [list(preds) for preds in self.direct_preds]
+        dup.ind_succs = [{oid: list(dsts) for oid, dsts in table.items()}
+                         for table in self.ind_succs]
+        dup.ind_preds = [list(preds) for preds in self.ind_preds]
         dup._connected = set(self._connected)
         dup._edge_set = set(self._edge_set)
         return dup

@@ -11,7 +11,6 @@ import os
 
 import pytest
 
-from repro.datastructs.ptrepo import PTRepo
 from repro.errors import BudgetExceeded, CheckpointError
 from repro.frontend import compile_c
 from repro.pipeline import analyze
@@ -117,15 +116,19 @@ class TestRejection:
 
     @pytest.mark.parametrize("analysis", ["sfs", "vsfs"])
     def test_schema2_repo_ids_never_read_as_masks(self, tmp_path, analysis):
-        """A schema-2 checkpoint stored PTRepo ids plus the repo table.
-        Its ids read as raw masks would resume a wrong state, so it is
-        rejected as a schema mismatch and quarantined."""
+        """A schema-2 checkpoint stored interned set ids plus the table
+        they index (hex masks, id 0 = the empty set).  Its ids read as raw
+        masks would resume a wrong state, so it is rejected as a schema
+        mismatch and quarantined."""
         __, path = _interrupt(tmp_path, analysis, 5)
         meta, payload = read_sealed_json(path, "checkpoint", 3)
-        repo = PTRepo()
+        repo = ["0"]
 
         def to_id(text):
-            return format(repo.intern(int(text, 16)), "x")
+            mask = format(int(text, 16), "x")
+            if mask not in repo:
+                repo.append(mask)
+            return format(repo.index(mask), "x")
 
         mem = payload["mem"]
         if analysis == "vsfs":
@@ -136,7 +139,7 @@ class TestRejection:
                 mem[side] = {nid: {oid: to_id(text)
                                    for oid, text in table.items()}
                              for nid, table in mem[side].items()}
-        mem["repo"] = repo.snapshot()
+        mem["repo"] = repo
         write_sealed_json(path, "checkpoint", 2,
                           dict(meta, delta=True, ptrepo=True), payload)
         with pytest.raises(CheckpointError) as exc:

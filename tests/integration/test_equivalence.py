@@ -15,8 +15,10 @@ import pytest
 
 from repro.analysis.andersen import run_andersen
 from repro.bench.workloads import SUITE, WorkloadConfig, generate_program
+from repro.datastructs.worklist import FIFOWorkList
 from repro.frontend import compile_c
 from repro.pipeline import AnalysisPipeline
+from repro.solvers.sfs import SFSAnalysis
 
 SCENARIOS = {
     "globals": """
@@ -148,16 +150,17 @@ def test_small_workload_sfs_within_icfg():
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_optimisation_matrix_preserves_precision(name):
-    """Versioning and sharded solving are result-invisible: serial VSFS
-    and both staged solvers on two parallel workers agree bit for bit
-    with serial SFS."""
+    """Versioning and the SFS schedule are result-invisible: VSFS and
+    SFS draining a FIFO worklist agree bit for bit with SFS draining its
+    topological one."""
     module = compile_c(SCENARIOS[name])
     pipeline = AnalysisPipeline(module)
     baseline = masks(module, pipeline.sfs())
+    fifo = SFSAnalysis(pipeline.fresh_svfg())
+    fifo._new_worklist = FIFOWorkList
     runs = {
         "vsfs": pipeline.vsfs(),
-        "sfs_par": pipeline.sfs_par(jobs=2, mode="inline"),
-        "vsfs_par": pipeline.vsfs_par(jobs=2, mode="inline"),
+        "sfs_fifo": fifo.run(),
     }
     for label, result in runs.items():
         assert masks(module, result) == baseline, f"{label} diverged"

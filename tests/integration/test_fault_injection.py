@@ -5,8 +5,8 @@ trigger point × solver:
 
 - with ``fallback=False`` every injected **solver-domain** fault surfaces
   as a typed :class:`~repro.errors.InjectedFault` carrying stage context
-  (never an untyped exception, never a wrong answer) — the io/parallel
-  domains added by the resilience layer are *absorbed* instead of
+  (never an untyped exception, never a wrong answer) — the io domain
+  added by the resilience layer is *absorbed* instead of
   surfaced, and are covered by the self-heal and chaos tests;
 - with the degradation ladder the same fault costs precision, not the
   answer: the result is a *superset* of the precise points-to sets

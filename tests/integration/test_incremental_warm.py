@@ -3,8 +3,7 @@
 The acceptance bar of the function-granular refactor: after an edit to
 one function, a warm run recomputes only the dirty closure and is
 **bit-identical** to a cold solve of the edited program — for SFS and
-VSFS, in-process and through the CLI store (serial and ``--jobs 2``,
-which collapses onto the serial twin), and through the service's
+VSFS, in-process and through the CLI store, and through the service's
 ``update_source`` op.
 """
 
@@ -138,32 +137,6 @@ class TestCLIWarmPath:
         assert incr["regions_reused"] > 0
         assert payload["report"]["incremental"] == incr
         assert not payload["store_hit"]
-
-    def test_jobs_2_collapses_to_serial_warm(self, prog, tmp_path, capsys):
-        store = str(tmp_path / "store")
-        report = str(tmp_path / "warm-par.json")
-        argv = ["-vfspta", str(prog), "--dump-pts", "--store", store]
-        self.run_cli(argv, capsys)
-
-        prog.write_text(SCALAR_EDIT)
-        warm_out = self.run_cli(
-            argv + ["--jobs", "2", "--report-json", report], capsys)
-
-        fresh = str(tmp_path / "fresh")
-        cold_out = self.run_cli(
-            ["-vfspta", str(prog), "--dump-pts", "--store", fresh], capsys)
-        assert self.pts_lines(cold_out.out) == self.pts_lines(warm_out.out)
-
-        with open(report) as handle:
-            payload = json.load(handle)
-        incr = payload["incremental"]
-        assert incr["fallback_reason"] is None
-        assert incr["dirty_functions"] == ["f2"]
-        # The parallel stage collapsed onto its serial twin: degradation
-        # without precision loss, audited on the heal trail.
-        assert not payload["report"]["precision_lost"]
-        assert any(heal.get("reason") == "warm-start"
-                   for heal in payload["self_heal"])
 
 
 class TestServiceUpdateSource:

@@ -2,10 +2,8 @@
 
 The degraded-not-dead contract: io-domain faults and on-disk corruption
 are absorbed — quarantine + recompute, retry + skip — with the incident
-recorded as ``self_heal`` events on the run report; parallel-domain
-faults are absorbed by the watchdog (kill-and-revive, then a collapse
-onto the bit-identical serial rung).  The answer is never wrong and the
-process never sees an untyped traceback.
+recorded as ``self_heal`` events on the run report.  The answer is
+never wrong and the process never sees an untyped traceback.
 """
 
 import glob
@@ -16,9 +14,7 @@ import pytest
 
 from repro.cli import main
 from repro.engine import StageCache
-from repro.errors import WorkerCrash
 from repro.frontend import compile_c
-from repro.parallel.driver import solve_parallel
 from repro.pipeline import AnalysisPipeline
 from repro.runtime.checkpoint import CheckpointConfig
 from repro.runtime.degrade import solve_with_ladder
@@ -127,45 +123,6 @@ class TestCheckpointSkips:
                    for h in report.self_heal)
 
 
-class TestWatchdogCollapse:
-    def test_budget_spend_collapses_bit_identical(self):
-        module = compile_c(SOURCE)
-        serial = AnalysisPipeline(module).sfs()
-        plan = FaultPlan(point="frontier_send", probability=1.0, once=False)
-        pipeline = AnalysisPipeline(module)
-        result = solve_with_ladder(pipeline, analysis="sfs-par", jobs=2,
-                                   faults=plan, parallel_mode="inline")
-        assert result._pt == serial._pt  # collapse costs nothing
-        report = result.report
-        assert report.degraded_from == "sfs-par"
-        assert report.precision_level == "sfs"
-        assert report.precision_lost is False
-        assert report.attempts[0].error_type == "WorkerCrash"
-
-    def test_worker_crash_is_typed_and_contextual(self):
-        module = compile_c(SOURCE)
-        pipeline = AnalysisPipeline(module)
-        plan = FaultPlan(point="frontier_recv", probability=1.0, once=False)
-        with pytest.raises(WorkerCrash) as info:
-            solve_parallel(pipeline.fresh_svfg(), "sfs", jobs=2,
-                           faults=plan, mode="inline",
-                           max_worker_failures=1)
-        err = info.value
-        assert err.worker >= 0 and err.failures == 1
-        assert err.incident == "frontier-recv"
-
-    def test_single_fault_revives_and_stays_parallel(self):
-        module = compile_c(SOURCE)
-        serial = AnalysisPipeline(module).sfs()
-        plan = FaultPlan(point="frontier_send")  # once=True: one incident
-        result = AnalysisPipeline(module).sfs_par(jobs=2, faults=plan,
-                                                  mode="inline")
-        assert result._pt == serial._pt
-        assert result.parallel.revivals >= 1
-        assert result.parallel.worker_failures >= 1
-        assert plan.fired  # the incident actually happened
-
-
 class TestResultStorePut:
     def test_failed_put_is_skippable(self, tmp_path):
         module = compile_c(SOURCE)
@@ -194,8 +151,7 @@ class TestChaosHarness:
     def test_mini_soak_passes(self, capsys):
         from repro.chaos import chaos_main
 
-        assert chaos_main(["--seeds", "2", "--analyses", "sfs",
-                           "--jobs", "1"]) == 0
+        assert chaos_main(["--seeds", "2", "--analyses", "sfs"]) == 0
         out = capsys.readouterr().out
         assert "no garbage outcomes" in out
 
@@ -210,8 +166,8 @@ class TestChaosHarness:
         from repro.chaos import build_daemon_schedule, build_schedule
         from repro.runtime.faults import FAULT_DOMAINS, FAULT_POINTS
 
-        runs = build_schedule(["sfs", "vsfs"], [1, 2], 8, 0)
-        again = build_schedule(["sfs", "vsfs"], [1, 2], 8, 0)
+        runs = build_schedule(["sfs", "vsfs"], 8, 0)
+        again = build_schedule(["sfs", "vsfs"], 8, 0)
         assert [(r.point, r.trigger, r.seed) for r in runs] == \
             [(r.point, r.trigger, r.seed) for r in again]
         # The batch soak owns every non-service point; the daemon soak

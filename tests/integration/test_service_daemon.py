@@ -366,22 +366,6 @@ class TestServeCli:
         assert "stdio" in capsys.readouterr().out
 
 
-class TestWorkerCrashExitCode:
-    def test_worker_crash_maps_to_exit_4(self, tmp_path, monkeypatch):
-        from repro import cli as cli_module
-        from repro.errors import WorkerCrash
-
-        def _boom(*args, **kwargs):
-            raise WorkerCrash("supervisor gave up", worker=1, failures=3,
-                              incident="test")
-
-        monkeypatch.setattr(cli_module, "solve_with_ladder", _boom)
-        path = tmp_path / "p.c"
-        path.write_text("int x; int main() { return x; }")
-        assert cli_module.main(["-fspta", str(path)]) == \
-            cli_module.EXIT_WORKER_CRASH == 4
-
-
 class TestChaosClassificationEdges:
     """Satellite: the classifier itself must be fault-tolerant — a
     soundness check fed malformed data classifies, never crashes."""
@@ -428,9 +412,9 @@ class TestChaosClassificationEdges:
         failure (never an untyped traceback = garbage)."""
         from repro.chaos import ChaosRun, execute_run
 
-        run = ChaosRun(analysis="sfs", jobs=1, seed=1,
+        run = ChaosRun(analysis="sfs", seed=1,
                        point="pre_meld", trigger="no-fallback")
-        execute_run(run, SOURCE, None, str(tmp_path), baseline_masks=[])
+        execute_run(run, SOURCE, str(tmp_path), baseline_masks=[])
         assert run.outcome == "typed-failure"
         assert run.detail == "InjectedFault"
         assert run.fired >= 1

@@ -12,7 +12,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.analysis.andersen import run_andersen
 from repro.bench.workloads import WorkloadConfig, generate_program, generate_source
 from repro.core.versioning import ObjectVersioning
+from repro.datastructs.worklist import FIFOWorkList, WorkList
 from repro.pipeline import AnalysisPipeline
+from repro.solvers.sfs import SFSAnalysis
 
 configs = st.builds(
     WorkloadConfig,
@@ -69,6 +71,19 @@ class TestSolverEquivalence:
         vsfs = pipeline.vsfs()
         assert [sfs.pts_mask(v) for v in module.variables] == \
             [vsfs.pts_mask(v) for v in module.variables]
+
+    @given(configs)
+    @RELAXED
+    def test_sfs_schedule_independent(self, config):
+        """The solve is confluent: SFS reaches the same points-to sets
+        draining a FIFO, a LIFO or its topological worklist."""
+        module = generate_program(config)
+        pipeline = AnalysisPipeline(module)
+        expected = pipeline.sfs().snapshot()
+        for schedule in (FIFOWorkList, WorkList):
+            solver = SFSAnalysis(pipeline.fresh_svfg())
+            solver._new_worklist = schedule
+            assert solver.run().snapshot() == expected, schedule.__name__
 
     @given(configs)
     @RELAXED

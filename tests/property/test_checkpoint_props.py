@@ -2,9 +2,8 @@
 
 Three invariants:
 
-- :class:`PTRepo` snapshot/restore preserves every interned set *and* its
-  id — resumed solvers keep using recorded entry ids, so id stability is
-  load-bearing, not cosmetic.
+- :class:`PriorityWorkList` snapshot/restore preserves the pop order —
+  a resumed SFS solve continues the uninterrupted schedule.
 - :class:`ObjectVersioning` (the VSFS meld/version tables) round-trips
   through its snapshot exactly, including the ``[INTERNAL]`` version
   sharing the restore replays.
@@ -20,7 +19,7 @@ import os
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.versioning import ObjectVersioning
-from repro.datastructs.ptrepo import PTRepo
+from repro.datastructs.worklist import PriorityWorkList
 from repro.errors import CheckpointError
 from repro.frontend import compile_c
 from repro.pipeline import AnalysisPipeline
@@ -29,35 +28,26 @@ from repro.store.atomic import read_sealed_json, write_sealed_json
 RELAXED = settings(max_examples=50, deadline=None,
                    suppress_health_check=[HealthCheck.function_scoped_fixture])
 
-masks_strategy = st.lists(st.integers(min_value=0, max_value=2 ** 200),
-                          max_size=40)
 
-
-class TestPTRepoRoundTrip:
-    @given(masks_strategy)
+class TestWorkListRoundTrip:
+    @given(st.lists(st.integers(0, 30), max_size=40),
+           st.lists(st.integers(0, 30), max_size=10))
     @settings(max_examples=200)
-    def test_snapshot_preserves_sets_and_ids(self, masks):
-        repo = PTRepo()
-        ids = [repo.intern(mask) for mask in masks]
-        restored = PTRepo.from_snapshot(repo.snapshot())
-        for entry, mask in zip(ids, masks):
-            assert restored.mask(entry) == mask
-        # Interning the same sets again yields the same ids.
-        for entry, mask in zip(ids, masks):
-            assert restored.intern(mask) == entry
-
-    @given(masks_strategy, masks_strategy)
-    @settings(max_examples=100)
-    def test_restored_repo_unions_like_original(self, masks, others):
-        """A restored table keeps allocating ids in step with the
-        original: interning the same unions yields the same ids."""
-        repo = PTRepo()
-        entries = [repo.intern(mask) for mask in masks]
-        restored = PTRepo.from_snapshot(repo.snapshot())
-        for entry in entries:
-            for other in others:
-                union = repo.mask(entry) | other
-                assert restored.intern(union) == repo.intern(union)
+    def test_snapshot_preserves_pop_order(self, pushes, later):
+        """A restored topological worklist pops exactly like the
+        original, also after more pushes — a resumed SFS solve replays
+        the uninterrupted schedule."""
+        rank = [node % 7 for node in range(31)]
+        original = PriorityWorkList(rank.__getitem__, pushes)
+        restored = PriorityWorkList(rank.__getitem__)
+        restored.restore(original.snapshot())
+        original.extend(later)
+        restored.extend(later)
+        drained = []
+        while original:
+            drained.append(original.pop())
+        assert drained == [restored.pop() for _ in drained]
+        assert not restored
 
 
 # A pool of small programs with stores, loads, branches and indirect

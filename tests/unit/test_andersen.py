@@ -256,3 +256,38 @@ class TestOnCSources:
         """)
         result = run_andersen(module)  # must not crash deriving fields of @work
         assert result.callgraph.num_edges() >= 2
+
+
+class TestCallGraphOrder:
+    """Callees and call sites iterate in insertion order, whatever the
+    objects' addresses: the solvers' RET and CALL rules walk them, so
+    their order feeds the worklist order and the work counters."""
+
+    SOURCE = "".join(f"int f{i}() {{ return {i}; }}\n" for i in range(24)) \
+        + "int main() { " + " ".join(f"f{i}();" for i in range(24)) \
+        + " return 0; }"
+
+    @pytest.fixture
+    def parts(self):
+        from repro.analysis.callgraph import CallGraph
+        from repro.ir.instructions import CallInst
+
+        module = compile_c(self.SOURCE)
+        calls = [inst for inst in module.instructions()
+                 if isinstance(inst, CallInst)]
+        functions = [module.functions[f"f{i}"] for i in range(24)]
+        return CallGraph(module), calls, functions
+
+    def test_callees_in_insertion_order(self, parts):
+        callgraph, calls, functions = parts
+        order = functions[::-1]  # against allocation (address) order
+        for callee in order:
+            callgraph.add_edge(calls[0], callee)
+        assert list(callgraph.callees_of(calls[0])) == order
+
+    def test_callsites_in_insertion_order(self, parts):
+        callgraph, calls, functions = parts
+        order = calls[::-1]
+        for call in order:
+            callgraph.add_edge(call, functions[0])
+        assert list(callgraph.callsites_of(functions[0])) == order

@@ -312,9 +312,9 @@ class TestResilienceFlags:
         assert main(["--list-fault-points"]) == 0
         out = capsys.readouterr().out
         assert "--- fault points ---" in out
-        for domain in ("[solver]", "[io]", "[parallel]"):
+        for domain in ("[solver]", "[io]", "[service]"):
             assert domain in out
-        assert "worker_heartbeat" in out and "stage_cache_read" in out
+        assert "worker_exec" in out and "stage_cache_read" in out
 
     def test_list_fault_points_flag_parses_with_file(self):
         args = build_arg_parser().parse_args(["--list-fault-points", "p.c"])
@@ -329,7 +329,8 @@ class TestResilienceFlags:
         assert main(["chaos", "--list", "--seeds", "2"]) == 0
         out = capsys.readouterr().out
         assert "chaos schedule" in out
-        assert "sfs/j1" in out and "vsfs/j2" in out
+        assert "chaos schedule: 4 runs" in out
+        assert "  sfs " in out and "  vsfs " in out
 
     def test_chaos_rejects_unknown_analysis(self, capsys):
         assert main(["chaos", "--analyses", "tensor", "--list"]) == 1

@@ -76,6 +76,50 @@ class TestWorkLists:
         assert wl.pop() == 1
 
 
+class TestPriorityWorkList:
+    """The topological worklist SFS drains the SVFG with: smallest key
+    first, FIFO among equal keys, checkpointable."""
+
+    RANK = [0, 0, 1, 1, 2, 2]  # six items, three keys of two
+
+    def make(self):
+        return PriorityWorkList(key=self.RANK.__getitem__)
+
+    def test_pop_is_key_staged_fifo(self):
+        wl = self.make()
+        for item in (3, 1, 2, 0):  # interleave keys, reverse order
+            assert wl.push(item)
+        # Smallest key first; push order within a key.
+        assert [wl.pop() for _ in range(4)] == [1, 0, 3, 2]
+
+    def test_push_during_drain_reactivates_earlier_key(self):
+        wl = self.make()
+        wl.push(2)
+        assert wl.pop() == 2
+        wl.push(0)  # an upstream item becomes queued again
+        wl.push(3)
+        assert wl.pop() == 0  # the earlier key wins over the pending 3
+
+    def test_duplicate_push_is_noop(self):
+        wl = self.make()
+        assert wl.push(1)
+        assert not wl.push(1)
+        assert len(wl) == 1
+        assert wl.pop() == 1
+        assert not wl
+
+    def test_snapshot_restore_preserves_order(self):
+        wl = self.make()
+        for item in (3, 0, 2):
+            wl.push(item)
+        clone = self.make()
+        clone.restore(wl.snapshot())
+        assert len(clone) == 3
+        assert not clone.push(2)  # membership restored with the queue
+        clone.push(1)  # pushed after the restore: behind 0 in key 0
+        assert [clone.pop() for _ in range(4)] == [0, 1, 3, 2]
+
+
 class TestUnionFind:
     def test_initial_self_parents(self):
         uf = UnionFind(3)

@@ -12,7 +12,6 @@ from repro.runtime.faults import (
     fault_domain,
 )
 from repro.runtime.resilience import (
-    DEFAULT_HEARTBEAT_SECONDS,
     DEFAULT_WORKER_FAILURE_BUDGET,
     IO_RETRY,
     RetryPolicy,
@@ -133,7 +132,7 @@ class TestFaultDomains:
             fault_domain("warp_core_breach")
 
     def test_plan_domain_property(self):
-        assert FaultPlan(point="frontier_send").domain == "parallel"
+        assert FaultPlan(point="worker_exec").domain == "service"
         assert FaultPlan(point="stage_cache_read").domain == "io"
         assert FaultPlan().domain == "*"
 
@@ -147,4 +146,3 @@ class TestFaultDomains:
 
     def test_watchdog_defaults(self):
         assert DEFAULT_WORKER_FAILURE_BUDGET >= 2  # one revival guaranteed
-        assert DEFAULT_HEARTBEAT_SECONDS > 0

@@ -48,6 +48,13 @@ class TestSolverStats:
         stats = SolverStats(pre_time=1.5, solve_time=2.5)
         assert stats.total_time() == 4.0
 
+    def test_own_steps_excludes_resumed_work(self):
+        # The double-counting trap: a resumed attempt's nodes_processed
+        # includes everything replayed from the checkpoint, so the work
+        # this attempt did itself is own_steps(), not nodes_processed.
+        resumed = SolverStats(nodes_processed=100, resumed_steps=60)
+        assert resumed.own_steps() == 40
+
     def test_vsfs_result_carries_both_phases(self):
         module = compile_c("int *g; int x; int main() { g = &x; return 0; }")
         result = AnalysisPipeline(module).vsfs()

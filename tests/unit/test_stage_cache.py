@@ -117,9 +117,8 @@ class TestInvalidation:
     def test_run_config_does_not_invalidate_substrate(self, tmp_path):
         cold, _ = engine_with_cache(tmp_path)
         cold.ensure("versioning")
-        parallel, cache = engine_with_cache(tmp_path, jobs=2,
-                                            parallel_mode="inline")
-        parallel.ensure("versioning")
+        configured, cache = engine_with_cache(tmp_path, capture_regions=True)
+        configured.ensure("versioning")
         assert cache.hits == len(CACHED_STAGES)
 
 
